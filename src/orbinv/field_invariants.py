@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt, log2
 
 import mpmath
 
@@ -24,6 +24,7 @@ from .exact_arith import (
     InternalConsistencyError,
     QuadFieldElem,
     TotallyRealField,
+    _is_square_int,
     is_algebraic_integer,
     is_squarefree,
     sign_at,
@@ -186,7 +187,7 @@ class BinaryQuadraticForm:
 
     def __post_init__(self):
         D = self.discriminant
-        if D <= 0 or _is_square(D):
+        if D <= 0 or _is_square_int(D):
             raise ValueError(f"discriminant {D} must be positive and not a square")
         from math import gcd
 
@@ -213,13 +214,6 @@ class BinaryQuadraticForm:
         return f"({self.a},{self.b},{self.c})"
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
 def reduction_step(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """Right-neighbor step on reduced forms: (a,b,c) -> (c, r, (r^2-D)/(4c)).
 
@@ -228,6 +222,12 @@ def reduction_step(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """
     if not form.is_reduced:
         raise ValueError(f"reduction step requires a reduced form, got {form}")
+    return _step_reduced(form)
+
+
+def _step_reduced(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
+    # reduction_step for a form already known to be reduced; the cycle walk
+    # feeds each checked output straight back in
     D = form.discriminant
     s = isqrt(D)
     g = 2 * abs(form.c)
@@ -242,7 +242,7 @@ def reduction_step(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
 
 def reduced_forms(D: int) -> list[BinaryQuadraticForm]:
     """All reduced primitive forms of discriminant D (D > 0, not a square)."""
-    if D <= 0 or _is_square(D):
+    if D <= 0 or _is_square_int(D):
         raise ValueError(f"discriminant {D} must be positive and not a square")
     if D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a discriminant")
@@ -298,7 +298,7 @@ def form_cycles(D: int) -> list[FormCycle]:
                 raise InternalConsistencyError(f"cycle through {start} escaped the reduced set")
             pool.remove(k)
             cycle.append(cur)
-            cur = reduction_step(cur)
+            cur = _step_reduced(cur)
             if cur == start:
                 break
         cycles.append(FormCycle(tuple(cycle)))
@@ -318,11 +318,16 @@ def class_number(field: TotallyRealField) -> int:
         return 1
     if field.degree > 2:
         raise ValueError("unsupported degree")
-    h_plus = narrow_class_number(field.d)
-    if fundamental_unit(field.d).norm() == -1:
+    d = field.d
+    return _wide_class_number(d, narrow_class_number(d), fundamental_unit(d).norm())
+
+
+def _wide_class_number(d: int, h_plus: int, unit_norm: int) -> int:
+    # h = h+ when the fundamental unit has norm -1, else h+ / 2
+    if unit_norm == -1:
         return h_plus
     if h_plus % 2:
-        raise InternalConsistencyError(f"h+ = {h_plus} odd with unit norm +1 for d={field.d}")
+        raise InternalConsistencyError(f"h+ = {h_plus} odd with unit norm +1 for d={d}")
     return h_plus // 2
 
 
@@ -369,9 +374,7 @@ def restricted_class_number(field: TotallyRealField) -> FieldInvariants:
         h = h_plus = 1
     else:
         h_plus = narrow_class_number(field.d)
-        h = h_plus if units.unit_norm == -1 else h_plus // 2
-        if units.unit_norm == 1 and h_plus % 2:
-            raise InternalConsistencyError(f"h+ = {h_plus} odd with unit norm +1")
+        h = _wide_class_number(field.d, h_plus, units.unit_norm)
     h2 = two_class_number(h)
     h_inf_2 = _h_inf_2(field.degree, h2, units.unit_index_infinity)
     return FieldInvariants(
@@ -456,13 +459,87 @@ def _kronecker(D: int, n: int) -> int:
     return result * _jacobi(D % n, n) if n > 1 else result
 
 
+def _character_table(D: int, n: int) -> list[int]:
+    # chi_D(a) for 0 <= a <= n. chi_D is completely multiplicative, so the
+    # symbol is evaluated only at primes; a smallest-prime-factor sieve gives
+    # every composite a = p * (a / p) with both factors already in the table.
+    factor = [0] * (n + 1)  # smallest prime factor of composite a, 0 at primes
+    primes = [p for p in range(2, isqrt(n) + 1) if all(p % q for q in range(2, isqrt(p) + 1))]
+    for p in reversed(primes):  # the smallest prime factor is written last
+        factor[p * p::p] = [p] * len(range(p * p, n + 1, p))
+    chi = [0] * (n + 1)
+    chi[1] = 1
+    for a in range(2, n + 1):
+        p = factor[a]
+        chi[a] = chi[p] * chi[a // p] if p else _kronecker(D, a)
+    return chi
+
+
+def _kernel_bits(D: int, digits: int) -> int:
+    # bits for 10**-digits, for the 4 * D**2 factor of the error bound of
+    # _log_sine_sum (see analytic_class_number_oracle), and 8 spare bits
+    return ceil(digits * log2(10)) + 2 * D.bit_length() + 2 + 8
+
+
+def _log_sine_sum(D: int, digits: int) -> mpmath.mpf:
+    """sum_{0<a<D} chi_D(a) log sin(pi a / D) for a discriminant D >= 5, with
+    absolute error below 10**-digits; see analytic_class_number_oracle."""
+    prec = _kernel_bits(D, digits)
+    half = (D - 1) // 2
+    chi = _character_table(D, half)
+    step = 2 if D % 2 == 0 else 1  # chi_D vanishes on even a when D is even
+
+    def fixed(x):
+        return int(mpmath.nint(mpmath.ldexp(x, prec)))
+
+    with mpmath.workprec(prec + 16):
+        c, s = fixed(mpmath.cos(mpmath.pi / D)), fixed(mpmath.sin(mpmath.pi / D))
+        c1, s1 = fixed(mpmath.cos(step * mpmath.pi / D)), fixed(mpmath.sin(step * mpmath.pi / D))
+    # (c, s) = 2**prec (cos, sin)(pi a / D); the sines with chi_D(a) = +1 and
+    # -1 multiply into pos * 2**pos_exp and neg * 2**neg_exp, mantissas of prec bits
+    pos = neg = 1 << prec
+    pos_exp = neg_exp = -prec
+    for a in range(1, half + 1, step):
+        k = chi[a]
+        if k == 1:
+            pos *= s
+            shift = pos.bit_length() - prec
+            pos >>= shift
+            pos_exp += shift - prec
+        elif k:
+            neg *= s
+            shift = neg.bit_length() - prec
+            neg >>= shift
+            neg_exp += shift - prec
+        c, s = (c * c1 - s * s1) >> prec, (s * c1 + c * s1) >> prec
+    with mpmath.workprec(prec):
+        return 2 * (mpmath.log(mpmath.mpf(pos) / neg) + (pos_exp - neg_exp) * mpmath.ln2)
+
+
 def analytic_class_number_oracle(d: int, digits: int = 40) -> int:
     """h of Q(sqrt d) from the Dirichlet class number formula.
 
-    Evaluates  h = -sum_{a<D} chi_D(a) log sin(pi a / D) / (2 log eps)  with
-    `digits` decimal digits of working precision (>= 30) and rounds to the
-    nearest integer; refuses to answer when the rounding residual is not far
-    below 1, so a wrong answer cannot slip through silently.
+    Evaluates  h = -sum_{0<a<D} chi_D(a) log sin(pi a / D) / (2 log eps)  and
+    rounds to the nearest integer; refuses to answer when the rounding
+    residual is not far below 1, so a wrong answer cannot slip through
+    silently. `digits` (>= 30) bounds the error of the sum by 10**-digits.
+
+    The sum is an O(D) integer kernel. chi_D is even, so only a <= (D-1)/2
+    is visited and the half sum doubled; when D is even, chi_D also vanishes
+    on even a, and only odd a are visited. chi_D(a) comes from a
+    smallest-prime-factor sieve that evaluates the Kronecker symbol at primes
+    only. The sines are fixed-point integers at p bits, produced by repeated
+    integer rotation seeded from mpmath's cos and sin, and are multiplied into
+    one product for chi_D = +1 and one for chi_D = -1, each a p-bit mantissa
+    with a binary exponent; two logarithms finish the sum.
+
+    Precision budget: after k <= a rotation steps the sine of pi a/D is off
+    by less than 3k units of 2**-p, and sin(pi a/D) >= 2a/D for a <= D/2, so
+    every sine carries a relative error below 1.5 D 2**-p. With the 2**(1-p)
+    truncation of each product step and the closing logarithms, the whole sum
+    is off by less than 4 D**2 2**-p, so the guard bits grow like 2 log2 D. The
+    working precision p = ceil(digits log2 10) + 2 bitlen(D) + 10 keeps it
+    below 10**-digits / 256.
 
     This path never touches the form-reduction machinery and serves as its
     independent cross-check.
@@ -471,14 +548,8 @@ def analytic_class_number_oracle(d: int, digits: int = 40) -> int:
         raise ValueError("at least 30 working digits required")
     D = fundamental_discriminant(d)
     eps = fundamental_unit(d)
-    with mpmath.workdps(digits):
-        total = mpmath.mpf(0)
-        pi_over_D = mpmath.pi / D
-        for a in range(1, D):
-            chi = _kronecker(D, a)
-            if chi:
-                term = mpmath.log(mpmath.sin(pi_over_D * a))
-                total += term if chi == 1 else -term
+    total = _log_sine_sum(D, digits)
+    with mpmath.workprec(_kernel_bits(D, digits)):
         regulator = mpmath.log(mpmath.mpf(eps.a.numerator) / eps.a.denominator
                                + mpmath.mpf(eps.b.numerator) / eps.b.denominator
                                * mpmath.sqrt(d))

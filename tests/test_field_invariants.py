@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
 import pytest
 
 from conftest import quad_field, rationals
@@ -24,6 +25,8 @@ from orbinv import (
     unit_index_from_sign_vectors,
     unit_index_infinity,
 )
+from orbinv import field_invariants
+from orbinv.field_invariants import _kronecker, _log_sine_sum
 
 Q = rationals()
 K5 = quad_field(5)
@@ -136,6 +139,15 @@ def test_class_number_examples():
     assert class_number(quad_field(10)) == 2
 
 
+def test_odd_narrow_class_number_with_norm_plus_one_is_inconsistent(monkeypatch):
+    # Q(sqrt 3) has a unit of norm +1, so h+ = 2h must be even
+    monkeypatch.setattr(field_invariants, "narrow_class_number", lambda d: 1)
+    with pytest.raises(InternalConsistencyError):
+        class_number(quad_field(3))
+    with pytest.raises(InternalConsistencyError):
+        restricted_class_number(quad_field(3))
+
+
 def test_two_class_number():
     assert two_class_number(1) == 1
     assert two_class_number(2) == 2
@@ -216,6 +228,37 @@ def test_analytic_oracle_examples():
 def test_analytic_oracle_requires_30_digits():
     with pytest.raises(ValueError):
         analytic_class_number_oracle(5, digits=20)
+
+
+def _direct_log_sine_sum(D: int) -> mpmath.mpf:
+    """Reference: the plain O(D) sum of chi_D(a) log sin(pi a / D) over
+    0 < a < D, one mpmath sine and logarithm per term, at 60 digits."""
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        pi_over_D = mpmath.pi / D
+        for a in range(1, D):
+            chi = _kronecker(D, a)
+            if chi:
+                term = mpmath.log(mpmath.sin(pi_over_D * a))
+                total += term if chi == 1 else -term
+        return total
+
+
+@pytest.mark.parametrize(
+    "D",
+    [5, 8, 12, 13, 9973, 4 * 9998, 4 * 9991],  # 9973 prime = 1 mod 4; 9998 = 2, 9991 = 3 mod 4
+)
+def test_log_sine_kernel_matches_direct_sum(D):
+    reference = _direct_log_sine_sum(D)
+    for digits in (30, 40):
+        with mpmath.workdps(60):
+            error = abs(_log_sine_sum(D, digits) - reference)
+            assert error < mpmath.mpf(10) ** -(digits - 5), (D, digits, error)
+
+
+def test_form_cycle_h_matches_oracle_to_1000():
+    for d in squarefree_range(1000):
+        assert restricted_class_number(quad_field(d)).h == analytic_class_number_oracle(d), d
 
 
 def _distinct_prime_count(n: int) -> int:
