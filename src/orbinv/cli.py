@@ -180,7 +180,8 @@ def _spinor_inputs(args):
 
 def _cmd_spinor_norm(args) -> dict:
     field, form, matrix = _spinor_inputs(args)
-    cls, det = spinor.spinor_norm_of_matrix(form, matrix)
+    vectors = spinor.decompose_matrix(form, matrix)
+    cls, det = spinor.spinor_norm_of_vectors(form, vectors)
     in_so0 = None
     if det == 1 and spinor.admissibility_check(form):
         in_so0 = spinor.so0_membership(spinor.Isometry(form, matrix))
@@ -188,7 +189,7 @@ def _cmd_spinor_norm(args) -> dict:
         "spinor_class": format_element(cls.representative),
         "in_k_infinity_star": in_k_infinity_star(cls.representative, field),
         "in_so0": in_so0,
-        "decomposition_length": str(len(spinor.decompose_matrix(form, matrix))),
+        "decomposition_length": str(len(vectors)),
         "determinant": str(det),
     }
 
@@ -196,7 +197,7 @@ def _cmd_spinor_norm(args) -> dict:
 def _cmd_decompose(args) -> dict:
     field, form, matrix = _spinor_inputs(args)
     vectors = spinor.decompose_matrix(form, matrix)
-    cls, det = spinor.spinor_norm_of_matrix(form, matrix)
+    cls, det = spinor.spinor_norm_of_vectors(form, vectors)
     return {
         "vectors": [[format_element(x) for x in v] for v in vectors],
         "length": str(len(vectors)),
@@ -310,7 +311,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        doc = args.handler(args)
+        payload = _dumps(args.handler(args)) + "\n"
+        if args.out:
+            try:
+                Path(args.out).write_text(payload, encoding="utf-8")
+            except OSError as exc:
+                raise CommandError("invalid-output", f"cannot write --out: {exc}")
     except CommandError as exc:
         sys.stderr.write(_dumps({"error": exc.error, "detail": exc.detail}) + "\n")
         return 2
@@ -320,10 +326,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         sys.stderr.write(_dumps({"error": "internal-consistency", "detail": str(exc)}) + "\n")
         return 3
-    payload = _dumps(doc) + "\n"
     sys.stdout.write(payload)
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
     return 0
 
 

@@ -1,9 +1,16 @@
 """Exact arithmetic over Q and real quadratic fields Q(sqrt(d)).
 
-Elements of Q are `fractions.Fraction`; elements of Q(sqrt(d)) are
-`QuadFieldElem`. Every predicate here (sign at a real embedding, squareness,
-square-class equality) is decided in integer arithmetic; there is no floating
-point anywhere in this module.
+One element type covers both fields. A `QuadFieldElem` stores three integers
+(a, b, den) for (a + b*sqrt(d))/den, with den > 0 and gcd(a, b, den) = 1, so
+each value has exactly one representation. Elements of Q are the b = 0 case
+with the internal tag d = 1; the public constructor rejects that tag, so they
+come only from `TotallyRealField.coerce`, `parse_element` and arithmetic. The
+tag d is checked where it enters (the public constructor and
+`TotallyRealField`); arithmetic results go through a private constructor
+that checks nothing, since both operands were checked already.
+Every predicate here (sign at a real embedding, squareness, square-class
+equality) is decided in integer arithmetic; there is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -11,8 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 Rational = Fraction
 
@@ -50,12 +56,6 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _valid_field_tag(d: int) -> bool:
-    # element constructors run hot inside matrix arithmetic; memoize the check
-    return d >= 2 and is_squarefree(d)
-
-
 def _is_square_int(n: int) -> bool:
     if n < 0:
         return False
@@ -91,89 +91,110 @@ def squarefree_part(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class QuadFieldElem:
-    """Exact element a + b*sqrt(d) of the real quadratic field Q(sqrt(d))."""
+    """Exact element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
-    a: Fraction
-    b: Fraction
-    d: int
+    `a` and `b` read back as `Fraction`s; the stored form is the reduced
+    integer triple of (a + b*sqrt(d))/den. Elements of Q carry the tag d = 1.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
-        if not _valid_field_tag(self.d):
-            raise ValueError(f"d must be squarefree and >= 2, got {self.d}")
+    __slots__ = ("_a", "_b", "_den", "_d")
 
-    def _lift(self, other):
-        if isinstance(other, QuadFieldElem):
-            if other.d != self.d:
-                raise ValueError(
-                    f"cannot mix elements of Q(sqrt {self.d}) and Q(sqrt {other.d})"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadFieldElem(Fraction(other), Fraction(0), self.d)
-        return None
+    def __init__(self, a, b, d: int):
+        TotallyRealField.real_quadratic(d)  # checks d
+        a, b = Fraction(a), Fraction(b)
+        den = lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (den // a.denominator)
+        self._b = b.numerator * (den // b.denominator)
+        self._den = den
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    @property
+    def d(self) -> int:
+        return self._d
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = _lift(other, self._d)
         if o is None:
             return NotImplemented
-        return QuadFieldElem(self.a + o.a, self.b + o.b, self.d)
+        return _quad(
+            self._a * o._den + o._a * self._den,
+            self._b * o._den + o._b * self._den,
+            self._den * o._den,
+            o._d,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = _lift(other, self._d)
         if o is None:
             return NotImplemented
-        return QuadFieldElem(self.a - o.a, self.b - o.b, self.d)
+        return _quad(
+            self._a * o._den - o._a * self._den,
+            self._b * o._den - o._b * self._den,
+            self._den * o._den,
+            o._d,
+        )
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = _lift(other, self._d)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = _lift(other, self._d)
         if o is None:
             return NotImplemented
-        return QuadFieldElem(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
+        return _quad(
+            self._a * o._a + self._b * o._b * o._d,
+            self._a * o._b + self._b * o._a,
+            self._den * o._den,
+            o._d,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = _lift(other, self._d)
         if o is None:
             return NotImplemented
-        nrm = o.norm()
-        if nrm == 0:
+        # 1/o = o.den * conj(o) / n with n = oa^2 - ob^2 d, nonzero for o != 0
+        n = o._a * o._a - o._b * o._b * o._d
+        if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt d)")
-        return self * QuadFieldElem(o.a / nrm, -o.b / nrm, self.d)
+        den = o._den if n > 0 else -o._den  # keeps the result's den positive
+        return _quad(
+            (self._a * o._a - self._b * o._b * o._d) * den,
+            (self._b * o._a - self._a * o._b) * den,
+            self._den * abs(n),
+            o._d,
+        )
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = _lift(other, self._d)
         if o is None:
             return NotImplemented
         return o / self
 
     def __neg__(self):
-        return QuadFieldElem(-self.a, -self.b, self.d)
+        return _quad(-self._a, -self._b, self._den, self._d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return (1 / self) ** (-exponent)
-        out = QuadFieldElem(Fraction(1), Fraction(0), self.d)
+        out = _quad(1, 0, 1, self._d)
         base = self
         e = exponent
         while e:
@@ -184,41 +205,92 @@ class QuadFieldElem:
         return out
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
+
+    def __int__(self):
+        # elements of Q convert like a Fraction: truncation toward zero
+        if self._b:
+            raise TypeError(f"{self} is not rational")
+        return int(self.a)
 
     def __eq__(self, other):
         if isinstance(other, QuadFieldElem):
-            if other.d == self.d:
-                return self.a == other.a and self.b == other.b
             # rational values are shared between fields
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            return (
+                self._a == other._a
+                and self._b == other._b
+                and self._den == other._den
+                and (self._d == other._d or self._b == 0)
+            )
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self._b == 0 and self._a == other.numerator and self._den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if self._b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self._a, self._b, self._den, self._d))
 
     def conjugate(self) -> "QuadFieldElem":
-        return QuadFieldElem(self.a, -self.b, self.d)
+        return _quad(self._a, -self._b, self._den, self._d)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.d
+        return Fraction(self._a * self._a - self._b * self._b * self._d, self._den * self._den)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self._a, self._den)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     def __str__(self):
         return format_element(self)
 
     def __repr__(self):
-        return f"QuadFieldElem({self.a!s}, {self.b!s}, d={self.d})"
+        return f"QuadFieldElem({self.a!s}, {self.b!s}, d={self._d})"
+
+
+_new_elem = object.__new__
+
+
+def _quad(a: int, b: int, den: int, d: int) -> QuadFieldElem:
+    # private constructor: reduces (a, b, den) with den > 0 and checks nothing
+    g = gcd(a, b, den)
+    if g != 1:
+        a //= g
+        b //= g
+        den //= g
+    x = _new_elem(QuadFieldElem)
+    x._a = a
+    x._b = b
+    x._den = den
+    x._d = d
+    return x
+
+
+def _lift(x, d: int):
+    """x as an operand next to an element tagged d, None for a foreign type.
+
+    The result carries the tag of the operation's result: d, or x's own tag
+    when d = 1, since Q lifts into every field.
+    """
+    if isinstance(x, QuadFieldElem):
+        if x._d == d or d == 1:
+            return x
+        if x._d == 1:
+            return _quad(x._a, 0, x._den, d)
+        raise ValueError(f"cannot mix elements of Q(sqrt {d}) and Q(sqrt {x._d})")
+    if isinstance(x, (int, Fraction)):
+        return _quad(x.numerator, 0, x.denominator, d)
+    return None
+
+
+def _element(x) -> QuadFieldElem:
+    y = _lift(x, 1)
+    if y is None:
+        raise TypeError(f"{x!r} is not a field element")
+    return y
 
 
 @dataclass(frozen=True)
@@ -273,113 +345,77 @@ class TotallyRealField:
     def non_id_places(self) -> tuple[int, ...]:
         return tuple(v for v in self.places if v != self.id_place)
 
-    def coerce(self, x):
-        """Lift x into this field's element type."""
+    def coerce(self, x) -> QuadFieldElem:
+        """Lift x into this field: elements of Q lift into every field, and
+        rational elements of any field into Q."""
+        tag = self.d or 1
         if isinstance(x, QuadFieldElem):
-            if self.is_rationals:
-                if x.is_rational:
-                    return x.a
-                raise ValueError(f"{x} is not a rational number")
-            if x.d != self.d:
-                raise ValueError(f"{x} does not lie in Q(sqrt {self.d})")
-            return x
+            if x._d == tag:
+                return x
+            if x._b == 0 and 1 in (x._d, tag):
+                return _quad(x._a, 0, x._den, tag)
+            raise ValueError(f"{x} does not lie in {self.label()}")
         if isinstance(x, (int, Fraction)):
-            if self.is_rationals:
-                return Fraction(x)
-            return QuadFieldElem(Fraction(x), Fraction(0), self.d)
+            return _quad(x.numerator, 0, x.denominator, tag)
         raise TypeError(f"cannot coerce {x!r} into {self.label()}")
 
-    def zero(self):
+    def zero(self) -> QuadFieldElem:
         return self.coerce(0)
 
-    def one(self):
+    def one(self) -> QuadFieldElem:
         return self.coerce(1)
 
     def sqrt_gen(self) -> QuadFieldElem:
         """The element sqrt(d); only for quadratic fields."""
         if self.is_rationals:
             raise ValueError("Q has no quadratic generator")
-        return QuadFieldElem(Fraction(0), Fraction(1), self.d)
+        return _quad(0, 1, 1, self.d)
 
     def label(self) -> str:
         return "Q" if self.is_rationals else f"Q(sqrt {self.d})"
 
 
-def _sign_fraction(x: Fraction) -> int:
-    return 1 if x > 0 else -1
-
-
-def _sign_quad(a: Fraction, b: Fraction, d: int) -> int:
-    # sign of a + b*sqrt(d) with b already adjusted for the embedding;
-    # case-split on the signs of a, b and compare a^2 against b^2 d, so no
-    # real approximation is ever taken (equality is impossible: sqrt(d) is
-    # irrational)
-    if b == 0:
-        return _sign_fraction(a)
-    if a == 0:
-        return _sign_fraction(b)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    if a * a > b * b * d:
-        return _sign_fraction(a)
-    return _sign_fraction(b)
-
-
 def sign_at(x, place: int = 0) -> int:
-    """Exact sign (+1 or -1) of x under the real embedding with the given index."""
-    if isinstance(x, QuadFieldElem):
-        if not x:
-            raise ValueError("sign of zero undefined")
-        if place not in (0, 1):
-            raise ValueError(f"place {place} out of range for a quadratic field")
-        return _sign_quad(x.a, x.b if place == 0 else -x.b, x.d)
-    x = Fraction(x)
-    if x == 0:
+    """Exact sign (+1 or -1) of x under the real embedding with the given index.
+
+    The sign of a + b*sqrt(d) (den > 0 drops out) is the sign of a when b is
+    zero or a^2 > b^2 d, else the sign of b (when a and b agree in sign, both
+    are right); no real approximation is ever taken (a^2 = b^2 d is
+    impossible, sqrt(d) being irrational). Q has place 0 only.
+    """
+    x = _element(x)
+    if not x:
         raise ValueError("sign of zero undefined")
-    if place != 0:
-        raise ValueError("rational numbers have a single real place")
-    return _sign_fraction(x)
-
-
-def _fraction_is_square(q: Fraction) -> bool:
-    return q > 0 and _is_square_int(q.numerator) and _is_square_int(q.denominator)
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction:
-    # assumes _fraction_is_square(q)
-    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
+    places = 1 if x._d == 1 else 2
+    if not 0 <= place < places:
+        raise ValueError(f"place {place} out of range for a field with {places} real places")
+    a, b = x._a, (x._b if place == 0 else -x._b)
+    s = a if b == 0 or a * a > b * b * x._d else b
+    return 1 if s > 0 else -1
 
 
 def is_square(x) -> bool:
     """True iff x is a square inside its own field.
 
-    Over Q(sqrt d) with x = a + b*sqrt(d), b != 0: x is a square iff its norm
-    a^2 - b^2 d is the square of a rational c >= 0 and one of (a+c)/2, (a-c)/2
-    is a rational square u^2 whose companion v = b/(2u) reproduces x exactly.
+    Scaled by den^2, x is A + B*sqrt(d) with integers A, B. That equals
+    (u + v*sqrt(d))^2 = (u^2 + v^2 d) + 2uv*sqrt(d) iff the norm A^2 - B^2 d is
+    a square c^2 and, for one sign s, u^2 = (A + s*c)/2 and v^2 = (A - s*c)/(2d)
+    are rational squares: then (2uv)^2 = (A^2 - c^2)/d = B^2, and the sign of v
+    makes 2uv = B. A rational m/4 is a square iff m is. Over Q (d = 1, B = 0)
+    this is the plain test that A is a square.
     """
-    if isinstance(x, QuadFieldElem):
-        if not x:
-            raise ValueError("squareness of zero undefined")
-        if x.is_rational:
-            # either a rational square or d times one ((v*sqrt(d))^2 = v^2 d)
-            return _fraction_is_square(x.a) or _fraction_is_square(x.a / x.d)
-        nrm = x.norm()
-        if not _fraction_is_square(nrm):
-            return False
-        c = _fraction_sqrt(nrm)
-        for cand in ((x.a + c) / 2, (x.a - c) / 2):
-            if cand != 0 and _fraction_is_square(cand):
-                u = _fraction_sqrt(cand)
-                v = x.b / (2 * u)
-                if u * u + v * v * x.d == x.a:
-                    return True
-        return False
-    x = Fraction(x)
-    if x == 0:
+    x = _element(x)
+    if not x:
         raise ValueError("squareness of zero undefined")
-    return _fraction_is_square(x)
+    big_a, big_b, d = x._a * x._den, x._b * x._den, x._d
+    nrm = big_a * big_a - big_b * big_b * d
+    if not _is_square_int(nrm):
+        return False
+    c = isqrt(nrm)
+    return any(
+        _is_square_int(2 * (big_a + s * c)) and _is_square_int(2 * d * (big_a - s * c))
+        for s in (1, -1)
+    )
 
 
 def in_k_infinity_star(x, field: TotallyRealField) -> bool:
@@ -394,10 +430,12 @@ def in_k_infinity_star(x, field: TotallyRealField) -> bool:
 
 
 def is_algebraic_integer(x) -> bool:
-    """True iff x lies in the ring of integers of its field."""
-    if isinstance(x, QuadFieldElem):
-        return x.trace().denominator == 1 and x.norm().denominator == 1
-    return Fraction(x).denominator == 1
+    """True iff x lies in the ring of integers of its field.
+
+    Over Q (d = 1, b = 0) the norm a^2/den^2 is integral iff den = 1.
+    """
+    x = _element(x)
+    return x.trace().denominator == 1 and x.norm().denominator == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,9 +443,9 @@ class SquareClass:
     """An element of k*/(k*)^2, the value group of the spinor norm.
 
     Two classes are equal iff the quotient of their representatives is a
-    square in the field. Over Q the representative is kept canonical (the
-    signed squarefree integer); over Q(sqrt d) no canonical form is imposed
-    and equality always goes through the quotient test.
+    square in the field. Over Q the representative is also kept canonical
+    (the signed squarefree integer, which is what gets printed); over
+    Q(sqrt d) no canonical form is imposed.
     """
 
     field: TotallyRealField
@@ -421,7 +459,7 @@ class SquareClass:
         if not x:
             raise ValueError("square class of zero undefined")
         if field.is_rationals:
-            x = Fraction(squarefree_part(x.numerator * x.denominator))
+            x = _quad(squarefree_part(x._a * x._den), 0, 1, 1)
         return cls(field, x)
 
     @classmethod
@@ -433,8 +471,6 @@ class SquareClass:
             return NotImplemented
         if self.field != other.field:
             return False
-        if self.field.is_rationals:
-            return self.representative == other.representative
         return is_square(self.representative / other.representative)
 
     def __mul__(self, other):
@@ -442,18 +478,15 @@ class SquareClass:
             return NotImplemented
         if self.field != other.field:
             raise ValueError("square classes of different fields")
+        rep = self.representative * other.representative
         if self.field.is_rationals:
-            p = self.representative.numerator * other.representative.numerator
             # both representatives are squarefree, so the square part of the
             # product is exactly gcd^2
-            g = gcd(self.representative.numerator, other.representative.numerator)
-            return SquareClass(self.field, Fraction(p // (g * g)))
-        return SquareClass(self.field, self.representative * other.representative)
+            rep = rep / gcd(self.representative._a, other.representative._a) ** 2
+        return SquareClass(self.field, rep)
 
     @property
     def is_trivial(self) -> bool:
-        if self.field.is_rationals:
-            return self.representative == 1
         return is_square(self.representative)
 
     def __repr__(self):
@@ -470,16 +503,14 @@ def format_element(x) -> str:
     Whitespace-free, minus signs attached to numerators; parse_element
     round-trips this bit-exactly.
     """
-    if isinstance(x, QuadFieldElem):
-        return (
-            f"{x.a.numerator}/{x.a.denominator}"
-            f"+{x.b.numerator}/{x.b.denominator}*sqrt({x.d})"
-        )
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    x = _element(x)
+    if x._d == 1:
+        return f"{x._a}/{x._den}"
+    a, b = x.a, x.b
+    return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt({x._d})"
 
 
-def parse_element(text: str, field: TotallyRealField):
+def parse_element(text: str, field: TotallyRealField) -> QuadFieldElem:
     """Parse the wire encoding into an element of `field`.
 
     Plain integers and rationals are accepted for either field; the full
@@ -500,5 +531,5 @@ def parse_element(text: str, field: TotallyRealField):
             raise ValueError(f"zero denominator in {text!r}")
         if d != field.d:
             raise ValueError(f"{text!r} does not lie in Q(sqrt {field.d})")
-        return QuadFieldElem(Fraction(pa, qa), Fraction(pb, qb), d)
+        return _quad(pa * qb, pb * qa, qa * qb, d)
     raise ValueError(f"cannot parse field element {text!r}")

@@ -15,8 +15,7 @@ arithmetic groups up to conjugation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, isqrt, log2
+from math import ceil, gcd, isqrt, log2
 
 import mpmath
 
@@ -54,14 +53,9 @@ __all__ = [
 ]
 
 
-def _check_d(d: int) -> None:
-    if d < 2 or not is_squarefree(d):
-        raise ValueError(f"d must be squarefree and >= 2, got {d}")
-
-
 def fundamental_discriminant(d: int) -> int:
     """Discriminant of the maximal order of Q(sqrt d): d if d = 1 mod 4, else 4d."""
-    _check_d(d)
+    TotallyRealField.real_quadratic(d)  # checks d
     return d if d % 4 == 1 else 4 * d
 
 
@@ -83,7 +77,7 @@ def fundamental_unit(d: int) -> QuadFieldElem:
     the expansion yields the smallest unit above 1. The result is verified to
     be an algebraic integer of norm +-1 exceeding 1 before it is returned.
     """
-    _check_d(d)
+    sqrt_d = TotallyRealField.real_quadratic(d).sqrt_gen()  # checks d
     if d % 4 == 1:
         P, Q = 1, 2
     else:
@@ -111,7 +105,7 @@ def fundamental_unit(d: int) -> QuadFieldElem:
     det_u = u11 * u22 - u12 * u21  # +-1
     n21 = det_u * (-u21 * t11 + u11 * t21)
     n22 = det_u * (-u21 * t12 + u11 * t22)
-    alpha = QuadFieldElem(Fraction(state[0], state[1]), Fraction(1, state[1]), d)
+    alpha = (sqrt_d + state[0]) / state[1]
     eps = n21 * alpha + n22
     if not is_algebraic_integer(eps) or eps.norm() not in (1, -1):
         raise InternalConsistencyError(f"continued fraction produced a non-unit for d={d}")
@@ -189,8 +183,6 @@ class BinaryQuadraticForm:
         D = self.discriminant
         if D <= 0 or _is_square_int(D):
             raise ValueError(f"discriminant {D} must be positive and not a square")
-        from math import gcd
-
         if gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) != 1:
             raise ValueError(f"form ({self.a},{self.b},{self.c}) is not primitive")
 

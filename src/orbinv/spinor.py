@@ -34,6 +34,7 @@ __all__ = [
     "decompose_matrix",
     "spinor_norm",
     "spinor_norm_of_matrix",
+    "spinor_norm_of_vectors",
     "so0_membership",
     "stabilizes_standard_lattice",
     "standard_admissible_form",
@@ -75,11 +76,7 @@ class DiagonalForm:
 
     def evaluate(self, v):
         """f(v) = sum a_i v_i^2."""
-        v = self.coerce_vector(v)
-        total = self.field.zero()
-        for c, x in zip(self.coefficients, v):
-            total = total + c * x * x
-        return total
+        return self.bilinear(v, v)
 
     def bilinear(self, u, v):
         """Polar form B(u, v) = sum a_i u_i v_i, with B(v, v) = f(v)."""
@@ -91,9 +88,7 @@ class DiagonalForm:
         return total
 
     def basis_vector(self, i: int) -> tuple:
-        one = self.field.one()
-        zero = self.field.zero()
-        return tuple(one if j == i else zero for j in range(self.dim))
+        return identity_matrix(self.field, self.dim)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +188,7 @@ class Isometry:
     @classmethod
     def from_reflections(cls, form: DiagonalForm, vectors) -> "Isometry":
         """Product of the reflections in the given vectors (must be even in number)."""
-        out = identity_matrix(form.field, form.dim)
-        for v in vectors:
-            out = mat_mul(out, reflect(v, form))
-        return cls(form, out)
+        return cls(form, ReflectionDecomposition(form, tuple(vectors)).recompose())
 
     def __mul__(self, other: "Isometry") -> "Isometry":
         if not isinstance(other, Isometry):
@@ -296,18 +288,9 @@ def _primitive_vector(field: TotallyRealField, v) -> tuple:
     # factors, then flip the sign so the first nonzero coordinate is positive
     # at Id; rational rescaling leaves the reflection and the square class of
     # f(v) unchanged
-    parts: list[Fraction] = []
-    for x in v:
-        if isinstance(x, QuadFieldElem):
-            parts.extend((x.a, x.b))
-        else:
-            parts.append(Fraction(x))
-    den = 1
-    for p in parts:
-        den = lcm(den, p.denominator)
-    num = 0
-    for p in parts:
-        num = gcd(num, p.numerator * (den // p.denominator))
+    parts = [p for x in v for p in (x.a, x.b)]
+    den = lcm(*(p.denominator for p in parts))
+    num = gcd(*(p.numerator * (den // p.denominator) for p in parts))
     scale = Fraction(den, num)
     w = tuple(x * scale for x in v)
     first = next(x for x in w if x)
@@ -412,7 +395,11 @@ def spinor_norm_of_matrix(form: DiagonalForm, matrix) -> tuple[SquareClass, int]
 
     Determinant -1 inputs lie outside SO(f); the returned sign flags them.
     """
-    vectors = decompose_matrix(form, matrix)
+    return spinor_norm_of_vectors(form, decompose_matrix(form, matrix))
+
+
+def spinor_norm_of_vectors(form: DiagonalForm, vectors) -> tuple[SquareClass, int]:
+    """Spinor norm and determinant sign of the product of reflections in `vectors`."""
     return _spinor_class(form, vectors), -1 if len(vectors) % 2 else 1
 
 
@@ -426,25 +413,7 @@ def stabilizes_standard_lattice(g: Isometry) -> bool:
     if any(not is_algebraic_integer(x) for row in g.matrix for x in row):
         return False
     det = _mat_det(g.form.field, g.matrix)
-    if isinstance(det, QuadFieldElem):
-        return is_algebraic_integer(det) and det.norm() in (1, -1)
-    return det in (1, -1)
-
-
-def _golden(field: TotallyRealField) -> QuadFieldElem:
-    return field.coerce(QuadFieldElem(Fraction(1, 2), Fraction(1, 2), 5))
-
-
-def _fixed_class_representatives(field: TotallyRealField) -> tuple:
-    # the two fixed square classes entering the normalizer index count; known
-    # only for Q and Q(sqrt 5)
-    if field.is_rationals:
-        return (field.coerce(1), field.coerce(-1))
-    if field.d == 5:
-        phi = _golden(field)
-        nontrivial = phi.conjugate() if field.id_place == 0 else phi
-        return (field.coerce(1), nontrivial)
-    raise ValueError("normalizer index data available only for Q and Q(sqrt 5)")
+    return is_algebraic_integer(det) and det.norm() in (1, -1)
 
 
 def standard_admissible_form(field: TotallyRealField, n: int) -> DiagonalForm:
@@ -457,9 +426,9 @@ def standard_admissible_form(field: TotallyRealField, n: int) -> DiagonalForm:
     if n < 2:
         raise ValueError("n must be at least 2")
     if field.is_rationals:
-        c = field.coerce(1)
+        c = field.one()
     elif field.d == 5:
-        phi = _golden(field)
+        phi = field.coerce(QuadFieldElem(Fraction(1, 2), Fraction(1, 2), 5))
         c = phi if field.id_place == 0 else phi.conjugate()
     else:
         raise ValueError("standard admissible form available only for Q and Q(sqrt 5)")
@@ -493,9 +462,12 @@ def normalizer_index_check(field: TotallyRealField, n: int) -> NormalizerReport:
     """
     if n < 4 or n % 2:
         raise ValueError(f"n must be even and >= 4, got {n}")
-    fixed = _fixed_class_representatives(field)
     form = standard_admissible_form(field, n)
     one = field.one()
+    # the two fixed square classes: 1 and -1/c for the form's lead c, that is
+    # -1 over Q and the conjugate of c over Q(sqrt 5) (the golden ratio has
+    # norm -1)
+    fixed = (one, -1 / form.coefficients[0])
     diag = (-one, -one) + (one,) * (n - 1)
     witness = Isometry(
         form,

@@ -222,3 +222,29 @@ def test_byte_determinism_two_runs(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_out_flag_to_unwritable_path_exits_2_before_printing(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run(capsys, "growth-bound", "--r", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-output"
+    assert not target.exists()
+
+
+def test_spinor_requests_decompose_once(capsys, monkeypatch):
+    from orbinv import spinor
+
+    calls = []
+    decompose = spinor.decompose_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(spinor, "decompose_matrix", counting)
+    for subcommand in ("spinor-norm", "decompose"):
+        calls.clear()
+        run_json(capsys, subcommand, "--field", "Q", "--form", "1,-1,-1", "--matrix", BLOCK_MATRIX)
+        assert len(calls) == 1, subcommand

@@ -1,13 +1,17 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from conftest import golden, quad_field, rationals
+from conftest import admissible_form, golden, quad_field, random_anisotropic_vectors, rationals
 from orbinv import (
+    Isometry,
     QuadFieldElem,
     SquareClass,
     TotallyRealField,
+    exact_arith,
     format_element,
     in_k_infinity_star,
     is_algebraic_integer,
@@ -308,3 +312,159 @@ def test_algebraic_integer_predicate():
     assert not is_algebraic_integer(Fraction(1, 2))
     assert not is_algebraic_integer(QuadFieldElem(Fraction(1, 2), Fraction(1, 2), 2))
     assert is_algebraic_integer(QuadFieldElem(Fraction(1, 2), Fraction(1, 2), 13))
+
+
+# --- reference model: an element as a pair of Fractions ---
+
+
+class PairModel:
+    """a + b*sqrt(d) as two Fractions, with d = 1 and b = 0 standing for Q.
+
+    Test-only and deliberately naive: every operation is the textbook formula
+    on Fractions, and signs come from a 60-digit decimal evaluation.
+    """
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def __add__(self, o):
+        return PairModel(self.a + o.a, self.b + o.b, self.d)
+
+    def __sub__(self, o):
+        return PairModel(self.a - o.a, self.b - o.b, self.d)
+
+    def __mul__(self, o):
+        return PairModel(self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d)
+
+    def norm(self):
+        return self.a * self.a - self.b * self.b * self.d
+
+    def inverse(self):
+        n = self.norm()
+        return PairModel(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def power(self, e):
+        base = self if e >= 0 else self.inverse()
+        out = PairModel(1, 0, self.d)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def conjugate(self):
+        return PairModel(self.a, -self.b, self.d)
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+    def sign_at(self, place):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root = Decimal(self.d).sqrt() * (1 if place == 0 else -1)
+            value = (Decimal(self.a.numerator) / self.a.denominator
+                     + Decimal(self.b.numerator) / self.b.denominator * root)
+        return 1 if value > 0 else -1
+
+    def is_square(self):
+        def rational_square(q):
+            return q >= 0 and all(isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+        if self.b == 0:
+            # a rational square, or d times one: (v sqrt d)^2 = v^2 d
+            return rational_square(self.a) or rational_square(self.a / self.d)
+        n = self.norm()
+        if not rational_square(n):
+            return False
+        c = Fraction(isqrt(n.numerator), isqrt(n.denominator))
+        for u2 in ((self.a + c) / 2, (self.a - c) / 2):
+            if u2 != 0 and rational_square(u2):
+                u = Fraction(isqrt(u2.numerator), isqrt(u2.denominator))
+                v = self.b / (2 * u)
+                if u * u + v * v * self.d == self.a:
+                    return True
+        return False
+
+    def is_algebraic_integer(self):
+        if self.d == 1:
+            return self.a.denominator == 1
+        return (2 * self.a).denominator == 1 and self.norm().denominator == 1
+
+    def wire(self):
+        def frac(q):
+            return f"{q.numerator}/{q.denominator}"
+
+        return frac(self.a) if self.d == 1 else f"{frac(self.a)}+{frac(self.b)}*sqrt({self.d})"
+
+
+def _element_of(field, model):
+    x = field.coerce(model.a)
+    return x if field.is_rationals else x + field.sqrt_gen() * model.b
+
+
+def _agrees(x, model):
+    return x.a == model.a and x.b == model.b and x.d == model.d
+
+
+def _random_model(rng, d):
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    return PairModel(q(), 0 if d == 1 else q(), d)
+
+
+@pytest.mark.parametrize("field", [Q, K2, K5, quad_field(13)], ids=lambda f: f.label())
+def test_elements_agree_with_pair_of_fractions_model(field):
+    rng = random.Random(20260808 + (field.d or 1))
+    d = field.d or 1
+    for _ in range(150):
+        mx, my = _random_model(rng, d), _random_model(rng, d)
+        x, y = _element_of(field, mx), _element_of(field, my)
+        assert _agrees(x, mx)
+        assert _agrees(x + y, mx + my)
+        assert _agrees(x - y, mx - my)
+        assert _agrees(x * y, mx * my)
+        k = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+        mk = PairModel(k, 0, d)
+        assert _agrees(x + k, mx + mk) and _agrees(k - x, mk - mx) and _agrees(k * x, mk * mx)
+        assert x.norm() == mx.norm()
+        assert x.trace() == 2 * mx.a
+        assert _agrees(x.conjugate(), mx.conjugate())
+        assert (x == y) == (mx.a == my.a and mx.b == my.b)
+        assert x == _element_of(field, mx) and hash(x) == hash(_element_of(field, mx))
+        assert (x == mx.a) == (mx.b == 0)
+        if mx.b == 0:
+            assert hash(x) == hash(mx.a)
+        assert format_element(x) == mx.wire()
+        assert parse_element(format_element(x), field) == x
+        assert is_algebraic_integer(x) == mx.is_algebraic_integer()
+        if not my.is_zero():
+            assert _agrees(x / y, mx / my)
+            assert _agrees(k / y, mk / my)
+        if mx.is_zero():
+            continue
+        for e in (-3, -2, -1, 0, 1, 2, 3):
+            assert _agrees(x**e, mx.power(e)), e
+        for place in field.places:
+            assert sign_at(x, place) == mx.sign_at(place)
+        for z, mz in ((x, mx), (x * x, mx * mx), (x * x * d, mx * mx * PairModel(d, 0, d))):
+            assert is_square(z) == mz.is_square(), str(z)
+
+
+def test_isometry_products_never_revalidate_the_field_tag(monkeypatch):
+    form = admissible_form(K5, 5)
+    vectors = random_anisotropic_vectors(random.Random(5), form, 8)
+    calls = []
+    check = exact_arith.is_squarefree
+
+    def counting(n):
+        calls.append(n)
+        return check(n)
+
+    monkeypatch.setattr(exact_arith, "is_squarefree", counting)
+    g = Isometry.from_reflections(form, vectors)
+    assert g * g.inverse() == Isometry.identity(form)
+    assert calls == []
+    QuadFieldElem(1, 1, 5)  # the public constructor does check, through the patch
+    assert calls == [5]
