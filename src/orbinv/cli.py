@@ -171,20 +171,19 @@ def _spinor_inputs(args):
     field = _parse_field(args.field)
     form = _parse_form(field, args.form)
     matrix = _parse_matrix(field, args.matrix)
-    if len(matrix) != form.dim or any(len(r) != form.dim for r in matrix):
-        raise CommandError("invalid-matrix", f"matrix must be {form.dim}x{form.dim}")
-    if not spinor.preserves_form(form, matrix):
-        raise CommandError("invalid-matrix", "matrix does not preserve the form")
-    return field, form, matrix
+    try:
+        vectors = spinor.decompose_matrix(form, matrix)
+    except ValueError as exc:
+        raise CommandError("invalid-matrix", str(exc))
+    return field, form, vectors
 
 
 def _cmd_spinor_norm(args) -> dict:
-    field, form, matrix = _spinor_inputs(args)
-    vectors = spinor.decompose_matrix(form, matrix)
+    field, form, vectors = _spinor_inputs(args)
     cls, det = spinor.spinor_norm_of_vectors(form, vectors)
     in_so0 = None
     if det == 1 and spinor.admissibility_check(form):
-        in_so0 = spinor.so0_membership(spinor.Isometry(form, matrix))
+        in_so0 = spinor.so0_membership(spinor.Isometry.from_reflections(form, vectors))
     return {
         "spinor_class": format_element(cls.representative),
         "in_k_infinity_star": in_k_infinity_star(cls.representative, field),
@@ -195,8 +194,7 @@ def _cmd_spinor_norm(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    field, form, matrix = _spinor_inputs(args)
-    vectors = spinor.decompose_matrix(form, matrix)
+    field, form, vectors = _spinor_inputs(args)
     cls, det = spinor.spinor_norm_of_vectors(form, vectors)
     return {
         "vectors": [[format_element(x) for x in v] for v in vectors],

@@ -1,9 +1,16 @@
 """Diagonal quadratic forms, reflection decompositions and spinor norms.
 
-Everything here is exact: isometries are matrices over Q or Q(sqrt d) that
-preserve the form entry-by-entry, reflection decompositions recompose to the
-source matrix exactly, and the spinor norm lands in k*/(k*)^2 via the product
-of the form values of the reflection vectors.
+Everything here is exact: isometries are matrices over Q or Q(sqrt d),
+reflection decompositions recompose to the source matrix exactly, and the
+spinor norm lands in k*/(k*)^2 via the product of the form values of the
+reflection vectors.
+
+An isometry is checked once, by decomposing it: the reflection walk of
+`decompose_matrix` reaches the identity exactly when its input is the product
+of the reflections it returns, and the parity of their count is the
+determinant. Identities, products, inverses and reflection chains are
+isometries by construction and are built unchecked. A reflection acts on a
+matrix as a rank-1 update, in O(n^2).
 """
 
 from __future__ import annotations
@@ -118,24 +125,12 @@ def mat_vec(a, v) -> tuple:
     )
 
 
-def _mat_det(field: TotallyRealField, matrix) -> object:
-    size = len(matrix)
-    m = [list(row) for row in matrix]
-    det = field.one()
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return field.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det = det * pv
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+def _coerce_matrix(form: DiagonalForm, matrix) -> tuple:
+    size = form.dim
+    rows = tuple(tuple(form.field.coerce(x) for x in row) for row in matrix)
+    if len(rows) != size or any(len(r) != size for r in rows):
+        raise ValueError(f"matrix must be {size}x{size}")
+    return rows
 
 
 def preserves_form(form: DiagonalForm, matrix) -> bool:
@@ -164,38 +159,39 @@ def preserves_form(form: DiagonalForm, matrix) -> bool:
 
 @dataclass(frozen=True)
 class Isometry:
-    """An exact matrix g with g^T F g = F and det g = +1 (an element of SO(f))."""
+    """An exact matrix g with g^T F g = F and det g = +1 (an element of SO(f)).
+
+    The constructor checks both by decomposing g into reflections; `identity`,
+    `from_reflections`, products and inverses skip the check.
+    """
 
     form: DiagonalForm
     matrix: tuple
 
     def __post_init__(self):
-        field = self.form.field
-        size = self.form.dim
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in self.matrix)
-        if len(rows) != size or any(len(r) != size for r in rows):
-            raise ValueError(f"matrix must be {size}x{size}")
+        rows = _coerce_matrix(self.form, self.matrix)
         object.__setattr__(self, "matrix", rows)
-        if not preserves_form(self.form, rows):
-            raise ValueError("matrix does not preserve the form")
-        if _mat_det(field, rows) != 1:
+        if len(decompose_matrix(self.form, rows)) % 2:
             raise ValueError("matrix does not have determinant +1")
 
     @classmethod
     def identity(cls, form: DiagonalForm) -> "Isometry":
-        return cls(form, identity_matrix(form.field, form.dim))
+        return _isometry(form, identity_matrix(form.field, form.dim))
 
     @classmethod
     def from_reflections(cls, form: DiagonalForm, vectors) -> "Isometry":
         """Product of the reflections in the given vectors (must be even in number)."""
-        return cls(form, ReflectionDecomposition(form, tuple(vectors)).recompose())
+        vectors = tuple(vectors)
+        if len(vectors) % 2:
+            raise ValueError("matrix does not have determinant +1")
+        return _isometry(form, ReflectionDecomposition(form, vectors).recompose())
 
     def __mul__(self, other: "Isometry") -> "Isometry":
         if not isinstance(other, Isometry):
             return NotImplemented
         if other.form != self.form:
             raise ValueError("isometries of different forms")
-        return Isometry(self.form, mat_mul(self.matrix, other.matrix))
+        return _isometry(self.form, mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "Isometry":
         # g^-1 = F^-1 g^T F for an isometry of F = diag(f)
@@ -204,7 +200,16 @@ class Isometry:
         rows = tuple(
             tuple(self.matrix[j][i] * f[j] / f[i] for j in range(size)) for i in range(size)
         )
-        return Isometry(self.form, rows)
+        return _isometry(self.form, rows)
+
+
+def _isometry(form: DiagonalForm, rows) -> Isometry:
+    # private constructor for coerced matrices that are isometries of
+    # determinant 1 by construction: checks nothing
+    g = object.__new__(Isometry)
+    object.__setattr__(g, "form", form)
+    object.__setattr__(g, "matrix", rows)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +260,22 @@ def so0_membership(g: Isometry) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _reflect_rows(form: DiagonalForm, v, qv, h) -> tuple:
+    # r_v h = h - v (2 (Fv)^T h / f(v)), a rank-1 update in O(n^2) for a
+    # coerced v with qv = f(v) != 0; the rows where v vanishes stay as they are
+    t = 2 / qv
+    (y0, row0), *rest = [(t * c * x, row) for c, x, row in zip(form.coefficients, v, h) if x]
+    s = [sum((y * row[j] for y, row in rest), y0 * row0[j]) for j in range(form.dim)]
+    return tuple(tuple(a - x * b for a, b in zip(row, s)) if x else row for x, row in zip(v, h))
+
+
 def reflect(v, form: DiagonalForm) -> tuple:
     """Matrix of the reflection x -> x - 2 B(x, v)/f(v) * v (determinant -1).
 
-    Returned as a raw orthogonal matrix rather than an Isometry so that odd
-    products can be composed internally.
+    Returned as a raw orthogonal matrix; nothing here composes it, since a
+    product of reflections is built by rank-1 updates of the identity.
     """
-    v = form.coerce_vector(v)
-    qv = form.evaluate(v)
-    if not qv:
-        raise ValueError("isotropic reflection vector")
-    f = form.coefficients
-    size = form.dim
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            t = -2 * f[j] * v[j] * v[i] / qv
-            if i == j:
-                t = t + 1
-            row.append(t)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _vector_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
+    return ReflectionDecomposition(form, (v,)).recompose()
 
 
 def _primitive_vector(field: TotallyRealField, v) -> tuple:
@@ -302,42 +297,42 @@ def _primitive_vector(field: TotallyRealField, v) -> tuple:
 def decompose_matrix(form: DiagonalForm, matrix, pivot_order=None) -> list:
     """Reflection vectors whose product, left to right, equals `matrix`.
 
-    Accepts any exact isometry of the form, special or not. Basis vectors are
+    Accepts any exact isometry of the form, special or not, and rejects any
+    other matrix, which never reaches the identity. Basis vectors are
     processed in index order unless `pivot_order` gives another permutation.
     When the natural reflection vector g x - x is isotropic, the standard
     two-reflection correction applies: reflect in x first, then in the now
     anisotropic difference. At most 2(n+1) vectors are produced, at most n+1
     when no correction is needed.
     """
-    field = form.field
     size = form.dim
     order = tuple(range(size)) if pivot_order is None else tuple(pivot_order)
     if sorted(order) != list(range(size)):
         raise ValueError(f"pivot order must be a permutation of 0..{size - 1}")
-    if not preserves_form(form, matrix):
-        raise ValueError("matrix does not preserve the form")
-    h = tuple(tuple(field.coerce(x) for x in row) for row in matrix)
+    h = _coerce_matrix(form, matrix)
+    identity = identity_matrix(form.field, size)
     vectors = []
     for i in order:
-        x = form.basis_vector(i)
-        y = mat_vec(h, x)
-        if y == x:
+        x = identity[i]
+        w = tuple(row[i] - e for row, e in zip(h, x))
+        if not any(w):
             continue
-        w = _vector_sub(y, x)
-        if form.evaluate(w):
-            vectors.append(w)
-            h = mat_mul(reflect(w, form), h)
-        else:
+        qw = form.evaluate(w)
+        if not qw:
             vectors.append(x)
-            h = mat_mul(reflect(x, form), h)
-            w = _vector_sub(mat_vec(h, x), x)
-            if not form.evaluate(w):
-                raise InternalConsistencyError("two-reflection correction stayed isotropic")
-            vectors.append(w)
-            h = mat_mul(reflect(w, form), h)
-    if h != identity_matrix(field, size):
+            h = _reflect_rows(form, x, form.coefficients[i], h)
+            w = tuple(row[i] - e for row, e in zip(h, x))
+            qw = form.evaluate(w)
+            if not qw:
+                break  # impossible for an isometry, so the test below fails
+        vectors.append(w)
+        h = _reflect_rows(form, w, qw, h)
+    if h != identity:
+        # the walk over an isometry always ends at the identity
+        if not preserves_form(form, matrix):
+            raise ValueError("matrix does not preserve the form")
         raise InternalConsistencyError("decomposition did not reach the identity")
-    return [_primitive_vector(field, v) for v in vectors]
+    return [_primitive_vector(form.field, v) for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -353,8 +348,12 @@ class ReflectionDecomposition:
 
     def recompose(self) -> tuple:
         out = identity_matrix(self.form.field, self.form.dim)
-        for v in self.vectors:
-            out = mat_mul(out, reflect(v, self.form))
+        for v in reversed(self.vectors):
+            v = self.form.coerce_vector(v)
+            qv = self.form.evaluate(v)
+            if not qv:
+                raise ValueError("isotropic reflection vector")
+            out = _reflect_rows(self.form, v, qv, out)
         return out
 
 
@@ -409,11 +408,12 @@ def spinor_norm_of_vectors(form: DiagonalForm, vectors) -> tuple[SquareClass, in
 
 
 def stabilizes_standard_lattice(g: Isometry) -> bool:
-    """True iff g maps O_k^(n+1) onto itself: integral entries, unit determinant."""
-    if any(not is_algebraic_integer(x) for row in g.matrix for x in row):
-        return False
-    det = _mat_det(g.form.field, g.matrix)
-    return is_algebraic_integer(det) and det.norm() in (1, -1)
+    """True iff g maps O_k^(n+1) onto itself.
+
+    An Isometry has determinant 1, a unit, so integral entries suffice: the
+    inverse is then the adjugate, which is integral too.
+    """
+    return all(is_algebraic_integer(x) for row in g.matrix for x in row)
 
 
 def standard_admissible_form(field: TotallyRealField, n: int) -> DiagonalForm:
@@ -456,23 +456,19 @@ def normalizer_index_check(field: TotallyRealField, n: int) -> NormalizerReport:
     """Index = #(fixed square classes), with diag(-1,-1,1,...,1) as the witness
     normalizing element outside SO_0.
 
-    The witness is verified to preserve the standard admissible diagonal form,
-    to stabilize the lattice O_k^(n+1), and to fail SO_0 membership; each
-    fixed representative is checked to lie in k_infinity^*.
+    The witness is the product of the reflections in e_0 and e_1, an isometry
+    of the standard admissible diagonal form by construction; it is verified to
+    stabilize the lattice O_k^(n+1) and to fail SO_0 membership, and each fixed
+    representative is checked to lie in k_infinity^*.
     """
     if n < 4 or n % 2:
         raise ValueError(f"n must be even and >= 4, got {n}")
     form = standard_admissible_form(field, n)
-    one = field.one()
     # the two fixed square classes: 1 and -1/c for the form's lead c, that is
     # -1 over Q and the conjugate of c over Q(sqrt 5) (the golden ratio has
     # norm -1)
-    fixed = (one, -1 / form.coefficients[0])
-    diag = (-one, -one) + (one,) * (n - 1)
-    witness = Isometry(
-        form,
-        tuple(tuple(diag[i] if i == j else field.zero() for j in range(n + 1)) for i in range(n + 1)),
-    )
+    fixed = (field.one(), -1 / form.coefficients[0])
+    witness = Isometry.from_reflections(form, (form.basis_vector(0), form.basis_vector(1)))
     fixed_classes = tuple(SquareClass.of(field, t) for t in fixed)
     witness_class = spinor_norm(witness)
     return NormalizerReport(

@@ -248,3 +248,14 @@ def test_spinor_requests_decompose_once(capsys, monkeypatch):
         calls.clear()
         run_json(capsys, subcommand, "--field", "Q", "--form", "1,-1,-1", "--matrix", BLOCK_MATRIX)
         assert len(calls) == 1, subcommand
+
+
+def test_non_isometry_error_bytes(capsys):
+    matrix = '[["1","0","0"],["0","1","0"],["0","0","2"]]'
+    for subcommand in ("spinor-norm", "decompose"):
+        code, out, err = run(capsys, subcommand, "--field", "Q", "--form", "1,-1,-1", "--matrix", matrix)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            '{\n  "error": "invalid-matrix",\n  "detail": "matrix does not preserve the form"\n}\n'
+        )
