@@ -20,6 +20,7 @@ import mpmath
 from .exact_arith import (
     InternalConsistencyError,
     TotallyRealField,
+    _FIELD_LABEL_RE,
     format_element,
     in_k_infinity_star,
     parse_element,
@@ -29,6 +30,10 @@ from . import growth_bound as gb
 from . import spinor
 
 PRECISION_ENV = "ORBINV_PRECISION_BITS"
+# cost caps: the reduced forms of Q(sqrt d) take O(d) time, and growth-bound
+# float work grows with the working precision
+MAX_D = 10**7
+MAX_PRECISION_BITS = 10_000
 
 _NUMBER_TOKEN_RE = re.compile(r"^-?\d+(\.\d+)?([eE][-+]?\d+)?$")
 
@@ -79,6 +84,9 @@ def _dumps(doc) -> str:
 
 def _parse_field(label: str, id_place: int = 0) -> TotallyRealField:
     try:
+        m = _FIELD_LABEL_RE.fullmatch(label.strip())
+        if m and int(m.group(1)) > MAX_D:  # before the field checks d is squarefree
+            raise ValueError(f"d must be at most {MAX_D}")
         return TotallyRealField.from_label(label, id_place)
     except ValueError as exc:
         raise CommandError("invalid-field", str(exc))
@@ -113,6 +121,9 @@ def _default_precision() -> int:
         bits = int(raw)
     except ValueError:
         raise CommandError("invalid-environment", f"{PRECISION_ENV}={raw!r} is not an integer")
+    if bits > MAX_PRECISION_BITS:
+        raise CommandError("invalid-environment",
+                           f"{PRECISION_ENV} must be at most {MAX_PRECISION_BITS}")
     return bits
 
 
@@ -223,6 +234,9 @@ def _cmd_check_normalizer(args) -> dict:
 
 
 def _cmd_growth_bound(args) -> dict:
+    if args.precision is not None and args.precision > MAX_PRECISION_BITS:
+        raise CommandError("invalid-arguments",
+                           f"--precision must be at most {MAX_PRECISION_BITS}")
     precision = args.precision if args.precision is not None else _default_precision()
     if args.certify is not None:
         if args.r is not None or args.degree is not None:

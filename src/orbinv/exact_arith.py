@@ -293,6 +293,9 @@ def _element(x) -> QuadFieldElem:
     return y
 
 
+_FIELD_LABEL_RE = re.compile(r"Q\(sqrt\s*(\d+)\)")
+
+
 @dataclass(frozen=True)
 class TotallyRealField:
     """Q (d is None) or the real quadratic field Q(sqrt(d)).
@@ -325,7 +328,7 @@ class TotallyRealField:
         text = label.strip()
         if text == "Q":
             return cls.rationals()
-        m = re.fullmatch(r"Q\(sqrt\s*(\d+)\)", text)
+        m = _FIELD_LABEL_RE.fullmatch(text)
         if m:
             return cls.real_quadratic(int(m.group(1)), id_place)
         raise ValueError(f"cannot parse field label {label!r}")

@@ -3,8 +3,10 @@
 The wide class number of a real quadratic field is obtained from the cycle
 structure of reduced indefinite binary quadratic forms of the fundamental
 discriminant, together with the norm of the fundamental unit; an independent
-Dirichlet analytic evaluation is provided as an oracle. The headline quantity
-is the restricted 2-class number
+Dirichlet analytic evaluation is provided as an oracle. Reduced forms are
+enumerated over the reduced interval and checked once, as they are built; the
+cycle walk checks its integer steps by membership in that set. The headline
+quantity is the restricted 2-class number
 
     h_inf_2 = 2**(degree - 1) * h2 / [U : U_inf],
 
@@ -183,7 +185,7 @@ class BinaryQuadraticForm:
         D = self.discriminant
         if D <= 0 or _is_square_int(D):
             raise ValueError(f"discriminant {D} must be positive and not a square")
-        if gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) != 1:
+        if gcd(self.a, self.b, self.c) != 1:
             raise ValueError(f"form ({self.a},{self.b},{self.c}) is not primitive")
 
     @property
@@ -206,6 +208,13 @@ class BinaryQuadraticForm:
         return f"({self.a},{self.b},{self.c})"
 
 
+def _step(D: int, s: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    # reduction step on integer triples, s = isqrt(D); unchecked, so a step
+    # that lost integrality shows as a changed discriminant
+    r = s - (s + b) % (2 * abs(c))
+    return c, r, (r * r - D) // (4 * c)
+
+
 def reduction_step(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """Right-neighbor step on reduced forms: (a,b,c) -> (c, r, (r^2-D)/(4c)).
 
@@ -214,51 +223,40 @@ def reduction_step(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """
     if not form.is_reduced:
         raise ValueError(f"reduction step requires a reduced form, got {form}")
-    return _step_reduced(form)
-
-
-def _step_reduced(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
-    # reduction_step for a form already known to be reduced; the cycle walk
-    # feeds each checked output straight back in
     D = form.discriminant
-    s = isqrt(D)
-    g = 2 * abs(form.c)
-    r = s - (s + form.b) % g
-    if (r * r - D) % (4 * form.c):
+    a, b, c = _step(D, isqrt(D), form.a, form.b, form.c)
+    if b * b - 4 * a * c != D:
         raise InternalConsistencyError("reduction step lost integrality")
-    nxt = BinaryQuadraticForm(form.c, r, (r * r - D) // (4 * form.c))
+    nxt = BinaryQuadraticForm(a, b, c)
     if not nxt.is_reduced:
         raise InternalConsistencyError(f"reduction step left the reduced domain at {form}")
     return nxt
 
 
 def reduced_forms(D: int) -> list[BinaryQuadraticForm]:
-    """All reduced primitive forms of discriminant D (D > 0, not a square)."""
+    """All reduced primitive forms of discriminant D (D > 0, not a square).
+
+    2|a| runs over the even integers in (sqrt(D) - b, sqrt(D) + b) only, and
+    the constructor's primitivity test is the one check on each candidate.
+    """
     if D <= 0 or _is_square_int(D):
         raise ValueError(f"discriminant {D} must be positive and not a square")
     if D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a discriminant")
     s = isqrt(D)
     out = []
-    for b in range(1, s + 1):
-        if (b - D) % 2:
-            continue
+    for b in range(2 - D % 2, s + 1, 2):
         ac4 = b * b - D  # = 4ac < 0
-        ta = 2
-        while True:  # 2|a| over even integers in (sqrt D - b, sqrt D + b)
-            if (ta + b) ** 2 > D and (ta <= b or (ta - b) ** 2 < D):
-                if ac4 % (2 * ta) == 0:
-                    a = ta // 2
-                    c = ac4 // (4 * a)
-                    for sign in (1, -1):
-                        try:
-                            form = BinaryQuadraticForm(sign * a, b, sign * c)
-                        except ValueError:
-                            continue  # imprimitive
-                        out.append(form)
-            elif (ta - b) ** 2 >= D and ta > b:
-                break
-            ta += 2
+        lo = s - b + 1  # the least integer above sqrt(D) - b, as sqrt(D) is irrational
+        for ta in range(max(2, lo + lo % 2), s + b + 1, 2):
+            if ac4 % (2 * ta) == 0:
+                a = ta // 2
+                c = ac4 // (4 * a)
+                for sign in (1, -1):
+                    try:
+                        out.append(BinaryQuadraticForm(sign * a, b, sign * c))
+                    except ValueError:
+                        continue  # imprimitive
     out.sort(key=lambda f: (f.b, f.a, f.c))
     return out
 
@@ -274,28 +272,27 @@ class FormCycle:
 
 
 def form_cycles(D: int) -> list[FormCycle]:
-    """Partition of the reduced forms of discriminant D into reduction cycles."""
+    """Partition of the reduced forms of discriminant D into reduction cycles.
+
+    The walk steps integer triples and builds no form: a step that lost
+    integrality (so changed the discriminant) or left the reduced domain lands
+    outside the reduced set, so membership in that set is the step's check.
+    """
     forms = reduced_forms(D)
-    pool = set((f.a, f.b, f.c) for f in forms)
+    pool = {(f.a, f.b, f.c): f for f in forms}
+    s = isqrt(D)
     cycles = []
     for start in forms:
-        key = (start.a, start.b, start.c)
-        if key not in pool:
-            continue
+        first = key = (start.a, start.b, start.c)
+        if first not in pool:
+            continue  # on an earlier cycle
         cycle = []
-        cur = start
-        while True:
-            k = (cur.a, cur.b, cur.c)
-            if k not in pool:
-                raise InternalConsistencyError(f"cycle through {start} escaped the reduced set")
-            pool.remove(k)
-            cycle.append(cur)
-            cur = _step_reduced(cur)
-            if cur == start:
-                break
+        while key in pool:
+            cycle.append(pool.pop(key))
+            key = _step(D, s, *key)
+        if key != first:
+            raise InternalConsistencyError(f"reduction cycle through {start} did not close")
         cycles.append(FormCycle(tuple(cycle)))
-    if pool:
-        raise InternalConsistencyError("reduction step did not partition the reduced forms")
     return cycles
 
 

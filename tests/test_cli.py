@@ -156,6 +156,37 @@ def test_precision_environment_default(capsys, monkeypatch):
     assert code == 2
 
 
+def test_precision_cap_applies_to_flag_and_environment(capsys, monkeypatch):
+    from orbinv.cli import MAX_PRECISION_BITS
+
+    over = str(MAX_PRECISION_BITS + 1)
+    code, out, err = run(capsys, "growth-bound", "--r", "2", "--precision", over)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "invalid-arguments")
+    code, out, err = run(capsys, "growth-bound", "--certify", "40", "--precision", over)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "invalid-arguments")
+    monkeypatch.setenv("ORBINV_PRECISION_BITS", over)
+    code, out, err = run(capsys, "growth-bound", "--r", "1")
+    assert (code, out, json.loads(err)["error"]) == (2, "", "invalid-environment")
+    monkeypatch.setenv("ORBINV_PRECISION_BITS", str(MAX_PRECISION_BITS))
+    doc = run_json(capsys, "growth-bound", "--r", "1")
+    assert doc["precision_bits"] == str(MAX_PRECISION_BITS)
+
+
+def test_field_over_the_d_cap_is_rejected_before_the_squarefree_test(capsys, monkeypatch):
+    from orbinv import exact_arith
+    from orbinv.cli import MAX_D
+
+    def unreachable(n):
+        raise AssertionError("is_squarefree reached for a d over the cap")
+
+    monkeypatch.setattr(exact_arith, "is_squarefree", unreachable)
+    for d in (str(MAX_D + 1), str(10**45 + 7), "9" * 91):
+        for argv in (("field-invariants", "--field", f"Q(sqrt {d})"),
+                     ("check-normalizer", "--field", f"Q(sqrt {d})", "--n", "4")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, json.loads(err)["error"]) == (2, "", "invalid-field"), argv
+
+
 def test_sweep_subcommand(capsys):
     doc = run_json(capsys, "sweep", "--dmax", "15")
     assert doc["count"] == str(len([d for d in range(2, 16) if d not in (4, 8, 9, 12)]))

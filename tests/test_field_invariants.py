@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -122,6 +122,73 @@ def test_reduction_cycles_close_up():
 def test_reduction_step_requires_reduced():
     with pytest.raises(ValueError):
         reduction_step(BinaryQuadraticForm(1, 1, -5))  # D = 21, not reduced
+
+
+def brute_force_reduced_forms(D: int, primitive: bool = True) -> list:
+    """Every (a, b, c) with b^2 - 4ac = D, 1 <= b < sqrt D and 1 <= |a| < sqrt D
+    that satisfies is_reduced, in (b, a) order; optionally the imprimitive ones
+    too, tested through the primitive form (a, b, c)/g, as reducedness scales."""
+    s = isqrt(D)
+    out = []
+    for b in range(1, s + 1):
+        for a in range(-s, s + 1):
+            if a == 0 or (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            g = gcd(a, b, c)
+            if g > 1 and primitive:
+                continue
+            if BinaryQuadraticForm(a // g, b // g, c // g).is_reduced:
+                out.append((a, b, c))
+    return out
+
+
+def test_reduced_forms_match_the_definition_below_2000():
+    for D in range(5, 2000):
+        if D % 4 in (0, 1) and isqrt(D) ** 2 != D:
+            got = [(f.a, f.b, f.c) for f in reduced_forms(D)]
+            assert got == brute_force_reduced_forms(D), D
+    # non-fundamental discriminants have reduced imprimitive candidates to filter out
+    for D in (20, 45, 48):
+        assert len(brute_force_reduced_forms(D, primitive=False)) > len(reduced_forms(D)), D
+
+
+def test_cycle_walk_builds_no_forms(monkeypatch):
+    calls = []
+    post_init = BinaryQuadraticForm.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BinaryQuadraticForm, "__post_init__", counting)
+    for D in (5, 316, 9973, 39992):
+        calls.clear()
+        reduced_forms(D)
+        enumerated = len(calls)
+        calls.clear()
+        form_cycles(D)
+        assert len(calls) == enumerated, D
+
+
+def test_faulty_step_is_caught_by_membership(monkeypatch):
+    step = field_invariants._step
+
+    def changed_discriminant(D, s, a, b, c):
+        return c, b, a + 1  # discriminant D - 4c, as after a lost division
+
+    def off_interval(D, s, a, b, c):
+        # r - 2|c| keeps the discriminant but lies below sqrt(D) - 2|c|
+        c, r, _ = step(D, s, a, b, c)
+        r -= 2 * abs(c)
+        return c, r, (r * r - D) // (4 * c)
+
+    for fault in (changed_discriminant, off_interval):
+        monkeypatch.setattr(field_invariants, "_step", fault)
+        with pytest.raises(InternalConsistencyError):
+            form_cycles(316)
+        with pytest.raises(InternalConsistencyError):
+            reduction_step(reduced_forms(316)[0])
 
 
 def test_narrow_class_numbers():

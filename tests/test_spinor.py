@@ -105,7 +105,7 @@ def test_isometry_products_and_inverses():
     for _ in range(10):
         g = random_isometry(rng, form)
         h = random_isometry(rng, form)
-        gh = g * h  # constructor revalidates: product is an isometry
+        gh = g * h  # built unchecked; the identities below check the product
         assert (gh * h.inverse()).matrix == g.matrix
         assert (g * g.inverse()).matrix == Isometry.identity(form).matrix
 
