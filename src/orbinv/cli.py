@@ -30,9 +30,12 @@ from . import growth_bound as gb
 from . import spinor
 
 PRECISION_ENV = "ORBINV_PRECISION_BITS"
-# cost caps: the reduced forms of Q(sqrt d) take O(d) time, and growth-bound
-# float work grows with the working precision
+# cost caps: the field checks and the reduced forms of Q(sqrt d) take about
+# O(sqrt(d) log d) time, check-normalizer prints O(n^2) matrix and form entries
+# (about 1 s and 6.6 MB at the cap over Q(sqrt 5)), and growth-bound float work
+# grows with the working precision
 MAX_D = 10**7
+MAX_NORMALIZER_N = 512
 MAX_PRECISION_BITS = 10_000
 
 _NUMBER_TOKEN_RE = re.compile(r"^-?\d+(\.\d+)?([eE][-+]?\d+)?$")
@@ -216,6 +219,8 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_check_normalizer(args) -> dict:
+    if args.n > MAX_NORMALIZER_N:
+        raise CommandError("invalid-arguments", f"--n must be at most {MAX_NORMALIZER_N}")
     field = _parse_field(args.field)
     report = spinor.normalizer_index_check(field, args.n)
     return {

@@ -60,6 +60,18 @@ def test_c1_field_invariants_reproduction():
     _verdict("C1 restricted 2-class numbers for Q and Q(sqrt 5)", ok, elapsed)
 
 
+def test_c1_field_invariants_near_the_d_cap():
+    field = quad_field(9999991)  # D = 4d, near the CLI's d cap of 10**7
+    t0 = time.perf_counter()
+    inv = restricted_class_number(field)
+    elapsed = time.perf_counter() - t0
+    ok = (
+        (inv.h, inv.h_plus, inv.h2, inv.units.unit_norm, inv.h_inf_2) == (1, 2, 1, 1, 1)
+        and elapsed < 0.25
+    )
+    _verdict("C1 restricted 2-class number of Q(sqrt 9999991) near the d cap", ok, elapsed)
+
+
 def test_c2_normalizer_index_reproduction():
     t0 = time.perf_counter()
     ok = True

@@ -187,6 +187,23 @@ def test_field_over_the_d_cap_is_rejected_before_the_squarefree_test(capsys, mon
             assert (code, out, json.loads(err)["error"]) == (2, "", "invalid-field"), argv
 
 
+def test_normalizer_n_over_the_cap_is_rejected_before_any_work(capsys, monkeypatch):
+    from orbinv import spinor
+    from orbinv.cli import MAX_NORMALIZER_N
+
+    def reached(field, n):
+        raise ValueError("reached")
+
+    monkeypatch.setattr(spinor, "normalizer_index_check", reached)
+    for field in ("Q", "Q(sqrt 5)"):
+        for n in (MAX_NORMALIZER_N + 1, MAX_NORMALIZER_N + 2, 2000, 10**40):
+            code, out, err = run(capsys, "check-normalizer", "--field", field, "--n", str(n))
+            assert (code, out, json.loads(err)["error"]) == (2, "", "invalid-arguments"), n
+        code, out, err = run(capsys, "check-normalizer", "--field", field,
+                             "--n", str(MAX_NORMALIZER_N))
+        assert (code, out, json.loads(err)["detail"]) == (2, "", "reached")
+
+
 def test_sweep_subcommand(capsys):
     doc = run_json(capsys, "sweep", "--dmax", "15")
     assert doc["count"] == str(len([d for d in range(2, 16) if d not in (4, 8, 9, 12)]))

@@ -3,6 +3,7 @@ from math import gcd, isqrt
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import quad_field, rationals
 from orbinv import (
@@ -26,7 +27,7 @@ from orbinv import (
     unit_index_infinity,
 )
 from orbinv import field_invariants
-from orbinv.field_invariants import _kronecker, _log_sine_sum
+from orbinv.field_invariants import _kronecker, _log_sine_sum, _primes_upto, _sqrt_mod
 
 Q = rationals()
 K5 = quad_field(5)
@@ -189,6 +190,75 @@ def test_faulty_step_is_caught_by_membership(monkeypatch):
             form_cycles(316)
         with pytest.raises(InternalConsistencyError):
             reduction_step(reduced_forms(316)[0])
+
+
+# --- the divisor sieve of reduced_forms ---
+
+
+def test_primes_upto_matches_trial_division():
+    for n in range(0, 400):
+        assert _primes_upto(n) == [p for p in range(2, n + 1)
+                                   if all(p % q for q in range(2, isqrt(p) + 1))], n
+    assert len(_primes_upto(3000)) == 430
+
+
+def test_sqrt_mod_over_odd_primes_below_3000():
+    # p = 1 mod 8 runs the Tonelli-Shanks loop; 0 is its own root
+    for p in _primes_upto(3000)[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        for n in range(1, p):
+            r = _sqrt_mod(n, p)
+            if n in squares:
+                assert r * r % p == n, (n, p)
+            else:
+                assert r is None, (n, p)
+        assert _sqrt_mod(0, p) == 0 and _sqrt_mod(p, p) == 0
+
+
+def interval_loop_reduced_forms(D: int) -> list:
+    """Reference: the O(D) candidate loop that the divisor sieve replaced. 2|a|
+    runs over the even integers in (sqrt(D) - b, sqrt(D) + b), and every
+    candidate goes through the constructor's primitivity test."""
+    s = isqrt(D)
+    out = []
+    for b in range(2 - D % 2, s + 1, 2):
+        ac4 = b * b - D
+        lo = s - b + 1
+        for ta in range(max(2, lo + lo % 2), s + b + 1, 2):
+            if ac4 % (2 * ta) == 0:
+                a = ta // 2
+                c = ac4 // (4 * a)
+                for sign in (1, -1):
+                    try:
+                        out.append(BinaryQuadraticForm(sign * a, b, sign * c))
+                    except ValueError:
+                        continue
+    out.sort(key=lambda f: (f.b, f.a, f.c))
+    return _triples(out)
+
+
+def _triples(forms) -> list:
+    return [(f.a, f.b, f.c) for f in forms]
+
+
+def test_sieve_matches_the_interval_loop_below_4000():
+    for D in range(5, 4000):
+        if D % 4 in (0, 1) and isqrt(D) ** 2 != D:
+            assert _triples(reduced_forms(D)) == interval_loop_reduced_forms(D), D
+    # among them, non-fundamental D with imprimitive candidates to filter out
+    for D in (20, 45, 48, 72):
+        assert len(brute_force_reduced_forms(D, primitive=False)) > len(reduced_forms(D)), D
+
+
+def test_sieve_matches_the_interval_loop_near_the_d_cap():
+    for D in (4 * 9999991, 9999973):
+        assert _triples(reduced_forms(D)) == interval_loop_reduced_forms(D), D
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(5, 10**6).filter(lambda D: D % 4 in (0, 1) and isqrt(D) ** 2 != D))
+def test_sieve_matches_the_interval_loop_up_to_a_million(D):
+    assert _triples(reduced_forms(D)) == interval_loop_reduced_forms(D)
 
 
 def test_narrow_class_numbers():
