@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from math import factorial
 from pathlib import Path
 
 import mpmath
@@ -31,12 +32,16 @@ from . import spinor
 
 PRECISION_ENV = "ORBINV_PRECISION_BITS"
 # cost caps: the field checks and the reduced forms of Q(sqrt d) take about
-# O(sqrt(d) log d) time, check-normalizer prints O(n^2) matrix and form entries
-# (about 1 s and 6.6 MB at the cap over Q(sqrt 5)), and growth-bound float work
-# grows with the working precision
+# O(sqrt(d) log d) time, and sweep runs them and the O(D) oracle for every
+# d <= dmax (about 45 s at the cap); check-normalizer prints O(n^2) matrix and
+# form entries (about 1 s and 6.6 MB at the cap over Q(sqrt 5)); growth-bound
+# float work grows with the working precision, and its exact numerator is
+# printed in decimal, within the interpreter's default int-to-str limit
 MAX_D = 10**7
+MAX_DMAX = 10**4
 MAX_NORMALIZER_N = 512
 MAX_PRECISION_BITS = 10_000
+MAX_NUMERATOR_DIGITS = 4300
 
 _NUMBER_TOKEN_RE = re.compile(r"^-?\d+(\.\d+)?([eE][-+]?\d+)?$")
 
@@ -160,6 +165,8 @@ def _cmd_field_invariants(args) -> dict:
 def _cmd_sweep(args) -> dict:
     if args.dmax < 2:
         raise CommandError("invalid-arguments", "--dmax must be at least 2")
+    if args.dmax > MAX_DMAX:
+        raise CommandError("invalid-arguments", f"--dmax must be at most {MAX_DMAX}")
     rows = []
     all_agree = True
     for d in fi.squarefree_range(args.dmax):
@@ -238,6 +245,27 @@ def _cmd_check_normalizer(args) -> dict:
     }
 
 
+def _check_numerator_digits(r: int, degree: int, request: str) -> None:
+    # the numerator (prod_{i<=r} (2i-1)!)**degree, built one factor at a time
+    # and abandoned as soon as it reaches 10**MAX_NUMERATOR_DIGITS, so the
+    # check itself never works on a longer integer
+    limit = 10**MAX_NUMERATOR_DIGITS
+    base = 1
+    for i in range(1, r + 1):
+        base *= factorial(2 * i - 1)
+        if base >= limit:
+            break
+    numerator = 1
+    for _ in range(degree if base > 1 else 0):
+        numerator *= base
+        if numerator >= limit:
+            raise CommandError(
+                "invalid-arguments",
+                f"{request} has an exact numerator of more than "
+                f"{MAX_NUMERATOR_DIGITS} decimal digits",
+            )
+
+
 def _cmd_growth_bound(args) -> dict:
     if args.precision is not None and args.precision > MAX_PRECISION_BITS:
         raise CommandError("invalid-arguments",
@@ -246,6 +274,7 @@ def _cmd_growth_bound(args) -> dict:
     if args.certify is not None:
         if args.r is not None or args.degree is not None:
             raise CommandError("invalid-arguments", "--certify excludes --r/--degree")
+        _check_numerator_digits(args.certify, 1, f"--certify {args.certify}")
         cert = gb.superexponential_certificate(args.certify, precision)
         return {
             "r_max": str(cert.r_max),
@@ -271,7 +300,9 @@ def _cmd_growth_bound(args) -> dict:
         }
     if args.r is None:
         raise CommandError("invalid-arguments", "either --r or --certify is required")
-    value = gb.euler_char_bound(args.r, args.degree if args.degree is not None else 1, precision)
+    degree = args.degree if args.degree is not None else 1
+    _check_numerator_digits(args.r, degree, f"--r {args.r} at degree {degree}")
+    value = gb.euler_char_bound(args.r, degree, precision)
     return {
         "numerator": str(value.exact_numerator),
         "pi_power": str(value.pi_power),
@@ -325,9 +356,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()  # argparse set-up costs about 1 ms, so it is done once
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         payload = _dumps(args.handler(args)) + "\n"
         if args.out:
             try:

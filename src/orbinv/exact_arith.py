@@ -43,17 +43,24 @@ class InternalConsistencyError(RuntimeError):
     """An invariant that must hold by construction failed; this is a bug signal."""
 
 
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
+def _trial_division(n: int):
+    """The prime powers (p, e) of n >= 1, by trial division over 2 and then
+    the odd numbers; a prime cofactor left after the loop comes last, as (n, 1)."""
     p = 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-        p += 1
-    return True
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def is_squarefree(n: int) -> bool:
+    return n >= 1 and all(e == 1 for _, e in _trial_division(n))
 
 
 def _is_square_int(n: int) -> bool:
@@ -70,22 +77,13 @@ def squarefree_part(n: int) -> int:
     sign = -1 if n < 0 else 1
     n = abs(n)
     if n < 10**10:  # trial division; sympy stays unloaded for everyday values
-        out = sign
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                if e % 2:
-                    out *= p
-            p += 1
-        return out * n
-    from sympy import factorint  # heavy import, keep local
+        factors = _trial_division(n)
+    else:
+        from sympy import factorint  # heavy import, keep local
 
+        factors = factorint(n).items()
     out = sign
-    for p, e in factorint(n).items():
+    for p, e in factors:
         if e % 2:
             out *= p
     return out

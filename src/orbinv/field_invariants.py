@@ -3,11 +3,13 @@
 The wide class number of a real quadratic field is obtained from the cycle
 structure of reduced indefinite binary quadratic forms of the fundamental
 discriminant, together with the norm of the fundamental unit; an independent
-Dirichlet analytic evaluation is provided as an oracle. Reduced forms come from
-a divisor sieve over their middle coefficients, in O(sqrt(D) log D) time, and
-are checked once, as they are built; the cycle walk checks its integer steps
-by membership in that set. The headline quantity is the restricted 2-class
-number
+Dirichlet analytic evaluation is provided as an oracle. The fundamental unit
+is one period of the purely periodic continued fraction one step past sqrt(d)
+or (1 + sqrt(d))/2. Reduced forms come from a divisor sieve over their middle
+coefficients, in O(sqrt(D) log D) time, with gcd(a, b, c) = 1 the one check
+on each; the cycle walk checks its integer steps by membership in that set.
+The oracle evaluates chi_D at primes by Euler's criterion. The headline
+quantity is the restricted 2-class number
 
     h_inf_2 = 2**(degree - 1) * h2 / [U : U_inf],
 
@@ -76,26 +78,25 @@ def squarefree_range(dmax: int) -> list[int]:
 def fundamental_unit(d: int) -> QuadFieldElem:
     """Fundamental unit eps > 1 of the ring of integers of Q(sqrt d).
 
-    Expands sqrt(d) (d = 2, 3 mod 4) or (1 + sqrt(d))/2 (d = 1 mod 4) as a
-    continued fraction with exact (P, Q) state arithmetic; one full period of
-    the expansion yields the smallest unit above 1. The result is verified to
-    be an algebraic integer of norm +-1 exceeding 1 before it is returned.
+    One continued-fraction step from sqrt(d) (d = 2, 3 mod 4) or
+    (1 + sqrt(d))/2 (d = 1 mod 4) lands on the reduced number
+    alpha = (P0 + sqrt d)/Q0, whose expansion is purely periodic. The walk
+    steps the exact (P, Q) state from there until (P0, Q0) comes back; the
+    convergent matrix T of that period fixes alpha, and eps = T21 alpha + T22
+    is the smallest unit above 1. It is verified to be an algebraic integer of
+    norm +-1 exceeding 1 before it is returned.
     """
     sqrt_d = TotallyRealField.real_quadratic(d).sqrt_gen()  # checks d
-    if d % 4 == 1:
-        P, Q = 1, 2
-    else:
-        P, Q = 0, 1
     s = isqrt(d)
-    # T = [[p_{k-1}, p_{k-2}], [q_{k-1}, q_{k-2}]], the convergent matrix
+    if d % 4 == 1:
+        P0 = s if s % 2 else s - 1  # 2 floor((1 + sqrt d)/2) - 1
+        Q0 = (d - P0 * P0) // 2
+    else:
+        P0, Q0 = s, d - s * s
+    P, Q = P0, Q0
+    # T = [[p_{k-1}, p_{k-2}], [q_{k-1}, q_{k-2}]], the convergent matrix from alpha
     t11, t12, t21, t22 = 1, 0, 0, 1
-    seen: dict[tuple[int, int], tuple[int, int, int, int]] = {}
     while True:
-        state = (P, Q)
-        if state in seen:
-            u11, u12, u21, u22 = seen[state]
-            break
-        seen[state] = (t11, t12, t21, t22)
         a = (P + s) // Q  # floor((P + sqrt d)/Q); exact because sqrt d is irrational
         P = a * Q - P
         if (d - P * P) % Q:
@@ -104,13 +105,10 @@ def fundamental_unit(d: int) -> QuadFieldElem:
         if Q <= 0:
             raise InternalConsistencyError("continued fraction state left the positive domain")
         t11, t12, t21, t22 = t11 * a + t12, t11, t21 * a + t22, t21
-    # The period matrix N = U^-1 T fixes alpha = (P + sqrt d)/Q, and
-    # eps = N21 * alpha + N22 is the unit of one full period.
-    det_u = u11 * u22 - u12 * u21  # +-1
-    n21 = det_u * (-u21 * t11 + u11 * t21)
-    n22 = det_u * (-u21 * t12 + u11 * t22)
-    alpha = (sqrt_d + state[0]) / state[1]
-    eps = n21 * alpha + n22
+        if P == P0 and Q == Q0:
+            break
+    alpha = (sqrt_d + P0) / Q0  # T alpha = alpha, and T (alpha, 1) = eps (alpha, 1)
+    eps = t21 * alpha + t22
     if not is_algebraic_integer(eps) or eps.norm() not in (1, -1):
         raise InternalConsistencyError(f"continued fraction produced a non-unit for d={d}")
     if sign_at(eps - 1, 0) != 1:
@@ -210,6 +208,14 @@ class BinaryQuadraticForm:
         return f"({self.a},{self.b},{self.c})"
 
 
+def _form(a: int, b: int, c: int) -> BinaryQuadraticForm:
+    # private constructor for primitive triples of a checked discriminant:
+    # checks nothing, and fills the frozen instance's fields directly
+    f = object.__new__(BinaryQuadraticForm)
+    f.__dict__.update(a=a, b=b, c=c)
+    return f
+
+
 def _step(D: int, s: int, a: int, b: int, c: int) -> tuple[int, int, int]:
     # reduction step on integer triples, s = isqrt(D); unchecked, so a step
     # that lost integrality shows as a changed discriminant
@@ -222,6 +228,8 @@ def reduction_step(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
 
     r is the unique integer with r = -b mod 2|c| inside (sqrt(D) - 2|c|, sqrt(D));
     on reduced forms this is a bijection whose orbits are the reduction cycles.
+    The step preserves primitivity, so the result is checked for its
+    discriminant and reducedness only.
     """
     if not form.is_reduced:
         raise ValueError(f"reduction step requires a reduced form, got {form}")
@@ -229,7 +237,7 @@ def reduction_step(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
     a, b, c = _step(D, isqrt(D), form.a, form.b, form.c)
     if b * b - 4 * a * c != D:
         raise InternalConsistencyError("reduction step lost integrality")
-    nxt = BinaryQuadraticForm(a, b, c)
+    nxt = _form(a, b, c)
     if not nxt.is_reduced:
         raise InternalConsistencyError(f"reduction step left the reduced domain at {form}")
     return nxt
@@ -296,8 +304,9 @@ def reduced_forms(D: int) -> list[BinaryQuadraticForm]:
     a form; otherwise the divisors of N_b are listed up to that bound. That is
     O(sqrt(D) log D) time, where the interval loop it replaces took O(D).
 
-    The candidates are sorted by (b, a, c), and the constructor's primitivity
-    test is the one check on each.
+    The candidates are sorted by (b, a, c) as integer triples, and
+    gcd(a, b, c) = 1 is the one check on each; D was checked on entry, so the
+    forms are built without the public constructor's checks.
     """
     if D <= 0 or _is_square_int(D):
         raise ValueError(f"discriminant {D} must be positive and not a square")
@@ -348,13 +357,7 @@ def reduced_forms(D: int) -> list[BinaryQuadraticForm]:
                     triples.append((b, -a, c))
         b, lo, hi = b + 2, lo - 1, hi + 1
     triples.sort()
-    out = []
-    for b, a, c in triples:
-        try:
-            out.append(BinaryQuadraticForm(a, b, c))
-        except ValueError:
-            continue  # imprimitive
-    return out
+    return [_form(a, b, c) for b, a, c in triples if gcd(a, b, c) == 1]
 
 
 @dataclass(frozen=True)
@@ -399,12 +402,7 @@ def narrow_class_number(d: int) -> int:
 
 def class_number(field: TotallyRealField) -> int:
     """Wide class number h; 1 for Q, h+ or h+/2 for Q(sqrt d) by the unit norm."""
-    if field.is_rationals:
-        return 1
-    if field.degree > 2:
-        raise ValueError("unsupported degree")
-    d = field.d
-    return _wide_class_number(d, narrow_class_number(d), fundamental_unit(d).norm())
+    return restricted_class_number(field).h
 
 
 def _wide_class_number(d: int, h_plus: int, unit_norm: int) -> int:
@@ -516,46 +514,25 @@ def restricted_class_number_from_invariants(
 # ---------------------------------------------------------------------------
 
 
-def _jacobi(a: int, n: int) -> int:
-    # Jacobi symbol (a/n) for odd n >= 1
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _kronecker(D: int, n: int) -> int:
-    # Kronecker symbol (D/n) for n >= 1 and a discriminant D > 0
-    result = 1
-    while n % 2 == 0:
-        if D % 2 == 0:
-            return 0
-        n //= 2
-        if D % 8 in (3, 5):
-            result = -result
-    return result * _jacobi(D % n, n) if n > 1 else result
-
-
 def _character_table(D: int, n: int) -> list[int]:
-    # chi_D(a) for 0 <= a <= n. chi_D is completely multiplicative, so the
-    # symbol is evaluated only at primes; a smallest-prime-factor sieve gives
-    # every composite a = p * (a / p) with both factors already in the table.
+    # chi_D(a) for 0 <= a <= n. chi_D is completely multiplicative, so it is
+    # evaluated only at primes: at 2 from D mod 8, and at an odd prime p by
+    # Euler's criterion chi_D(p) = D**((p-1)/2) mod p. A smallest-prime-factor
+    # sieve gives every composite a = p * (a / p) with both factors already in
+    # the table.
     factor = [0] * (n + 1)  # smallest prime factor of composite a, 0 at primes
     for p in reversed(_primes_upto(isqrt(n))):  # the smallest prime factor is written last
         factor[p * p::p] = [p] * len(range(p * p, n + 1, p))
     chi = [0] * (n + 1)
     chi[1] = 1
-    for a in range(2, n + 1):
+    chi[2] = (0, 1, 0, -1, 0, -1, 0, 1)[D % 8]  # n >= 2, as D >= 5
+    for a in range(3, n + 1):
         p = factor[a]
-        chi[a] = chi[p] * chi[a // p] if p else _kronecker(D, a)
+        if p:
+            chi[a] = chi[p] * chi[a // p]
+        else:
+            e = pow(D, (a - 1) >> 1, a)  # 0, 1 or a - 1
+            chi[a] = e if e < 2 else -1
     return chi
 
 
@@ -612,7 +589,7 @@ def analytic_class_number_oracle(d: int, digits: int = 40) -> int:
     is visited and the half sum doubled; when D is even, chi_D also vanishes
     on even a, and only odd a are visited. chi_D(a) comes from a
     smallest-prime-factor sieve that evaluates the Kronecker symbol at primes
-    only. The sines are fixed-point integers at p bits, produced by repeated
+    only, at odd primes by Euler's criterion (one modular power each). The sines are fixed-point integers at p bits, produced by repeated
     integer rotation seeded from mpmath's cos and sin, and are multiplied into
     one product for chi_D = +1 and one for chi_D = -1, each a p-bit mantissa
     with a binary exponent; two logarithms finish the sum.

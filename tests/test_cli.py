@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import quad_field, rationals
 from orbinv import (
@@ -307,3 +311,78 @@ def test_non_isometry_error_bytes(capsys):
         assert err == (
             '{\n  "error": "invalid-matrix",\n  "detail": "matrix does not preserve the form"\n}\n'
         )
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    import orbinv
+    from orbinv import cli
+
+    def rebuilt():
+        raise AssertionError("build_parser called per request")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    env = {k: v for k, v in os.environ.items() if k != "ORBINV_PRECISION_BITS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(orbinv.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    requests = [
+        ("field-invariants", "--field", "Q(sqrt 5)", "--id-place", "x"),  # argparse error
+        ("field-invariants", "--field", "Q(sqrt 5)"),
+        ("sweep", "--dmax", "15"),
+        ("spinor-norm", "--field", "Q", "--form", "1,-1,-1", "--matrix", BLOCK_MATRIX),
+        ("decompose", "--field", "Q", "--form", "1,-1,-1", "--matrix", BLOCK_MATRIX),
+        ("check-normalizer", "--field", "Q", "--n", "4"),
+        ("growth-bound", "--r", "2"),
+    ]
+    for argv in requests:
+        fresh = subprocess.run([sys.executable, "-m", "orbinv.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [run(capsys, *argv)[0] for argv in requests] == [2, 0, 0, 0, 0, 0, 0]
+
+
+def test_growth_bound_numerator_cap_is_checked_before_any_work(capsys, monkeypatch):
+    from orbinv import growth_bound as gb
+    from orbinv.cli import MAX_NUMERATOR_DIGITS
+
+    def reached(*args):
+        raise ValueError("reached")
+
+    monkeypatch.setattr(gb, "euler_char_bound", reached)
+    monkeypatch.setattr(gb, "superexponential_certificate", reached)
+    # the largest in-bound values: (prod_{i<=r} (2i-1)!)**degree has at most
+    # 4300 digits, and one more step in r, degree or --certify passes it
+    largest = [("--r", "55"), ("--r", "40", "--degree", "2"), ("--r", "34", "--degree", "3"),
+               ("--r", "2", "--degree", "5525"), ("--r", "1", "--degree", str(10**40)),
+               ("--certify", "55")]
+    over = [("--r", "56"), ("--r", "41", "--degree", "2"), ("--r", "35", "--degree", "3"),
+            ("--r", "2", "--degree", "5526"), ("--r", "2", "--degree", "1000000"),
+            ("--r", "40", "--degree", "100000"), ("--r", "5000"), ("--r", str(10**40)),
+            ("--certify", "56"), ("--certify", "3000")]
+    for argv in largest:
+        code, out, err = run(capsys, "growth-bound", *argv)
+        assert (code, out, json.loads(err)["detail"]) == (2, "", "reached"), argv
+    for argv in over:
+        code, out, err = run(capsys, "growth-bound", *argv)
+        doc = json.loads(err)
+        assert (code, out, doc["error"]) == (2, "", "invalid-arguments"), argv
+        assert f"more than {MAX_NUMERATOR_DIGITS} decimal digits" in doc["detail"], argv
+    monkeypatch.undo()
+    for argv in largest[:4]:
+        doc = run_json(capsys, "growth-bound", *argv)
+        assert 4000 < len(doc["numerator"]) <= MAX_NUMERATOR_DIGITS, argv
+
+
+def test_sweep_dmax_over_the_cap_is_rejected_before_any_work(capsys, monkeypatch):
+    from orbinv import field_invariants
+    from orbinv.cli import MAX_DMAX
+
+    def reached(dmax):
+        raise ValueError("reached")
+
+    monkeypatch.setattr(field_invariants, "squarefree_range", reached)
+    for dmax in (MAX_DMAX + 1, 100000, 10**40):
+        code, out, err = run(capsys, "sweep", "--dmax", str(dmax))
+        assert (code, out, json.loads(err)) == (
+            2, "", {"error": "invalid-arguments", "detail": f"--dmax must be at most {MAX_DMAX}"})
+    code, out, err = run(capsys, "sweep", "--dmax", str(MAX_DMAX))
+    assert (code, out, json.loads(err)["detail"]) == (2, "", "reached")

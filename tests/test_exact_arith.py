@@ -16,6 +16,7 @@ from orbinv import (
     in_k_infinity_star,
     is_algebraic_integer,
     is_square,
+    is_squarefree,
     parse_element,
     sign_at,
     squarefree_part,
@@ -468,3 +469,30 @@ def test_isometry_products_never_revalidate_the_field_tag(monkeypatch):
     assert calls == []
     QuadFieldElem(1, 1, 5)  # the public constructor does check, through the patch
     assert calls == [5]
+
+
+def _brute_squarefree_part(n: int) -> int:
+    """Reference: n with the square k**2 divided out for every k <= sqrt(n)."""
+    s = n
+    for k in range(2, isqrt(n) + 1):
+        while s % (k * k) == 0:
+            s //= k * k
+    return s
+
+
+def test_trial_division_paths_agree_with_brute_force():
+    bound = 20000
+    squareful = bytearray(bound)  # squareful[n]: some k**2 > 1 divides n
+    for k in range(2, isqrt(bound) + 1):
+        squareful[k * k::k * k] = b"\1" * len(range(k * k, bound, k * k))
+    for n in range(-5, bound):
+        assert is_squarefree(n) == (n >= 1 and not squareful[n]), n
+    for n in range(1, bound):
+        part = _brute_squarefree_part(n)
+        assert squarefree_part(n) == part and squarefree_part(-n) == -part, n
+    # either side of the 10**10 switch to sympy; 10**10 - 1 = 3**2 * 11 * 41 * 271 * 9091
+    # and 10**10 + 19 is prime
+    for n in [*range(10**10 - 6, 10**10 + 6), 10**10 + 19, 99991**2, 99989 * 99991]:
+        part = _brute_squarefree_part(n)
+        assert squarefree_part(n) == part, n
+        assert is_squarefree(n) == (part == n), n

@@ -27,12 +27,40 @@ from orbinv import (
     unit_index_infinity,
 )
 from orbinv import field_invariants
-from orbinv.field_invariants import _kronecker, _log_sine_sum, _primes_upto, _sqrt_mod
+from orbinv.field_invariants import _character_table, _log_sine_sum, _primes_upto, _sqrt_mod
 
 Q = rationals()
 K5 = quad_field(5)
 
 SWEEP_DMAX = 40  # the full d <= 100 sweep runs in the acceptance suite
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Reference: the Jacobi symbol (a/n) for odd n >= 1, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _kronecker(D: int, n: int) -> int:
+    """Reference: the Kronecker symbol (D/n) for n >= 1 and a discriminant D > 0."""
+    result = 1
+    while n % 2 == 0:
+        if D % 2 == 0:
+            return 0
+        n //= 2
+        if D % 8 in (3, 5):
+            result = -result
+    return result * _jacobi(D % n, n) if n > 1 else result
 
 
 # --- fundamental units ---
@@ -79,6 +107,35 @@ def test_fundamental_unit_norms_are_exact_units():
         assert sign_at(eps - 1, 0) == 1, d  # eps > 1 at the first embedding
 
 
+def state_dict_fundamental_unit(d: int) -> QuadFieldElem:
+    """Reference: the continued-fraction walk from sqrt(d) or (1 + sqrt(d))/2
+    that stores every (P, Q) state with its convergent matrix U and stops at
+    the first repeated state; the period matrix U^-1 T gives the unit."""
+    if d % 4 == 1:
+        P, Q = 1, 2
+    else:
+        P, Q = 0, 1
+    s = isqrt(d)
+    t11, t12, t21, t22 = 1, 0, 0, 1
+    seen = {}
+    while (P, Q) not in seen:
+        seen[(P, Q)] = (t11, t12, t21, t22)
+        a = (P + s) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        t11, t12, t21, t22 = t11 * a + t12, t11, t21 * a + t22, t21
+    u11, u12, u21, u22 = seen[(P, Q)]
+    det_u = u11 * u22 - u12 * u21
+    n21 = det_u * (-u21 * t11 + u11 * t21)
+    n22 = det_u * (-u21 * t12 + u11 * t22)
+    return n21 * ((QuadFieldElem(0, 1, d) + P) / Q) + n22
+
+
+def test_periodic_unit_walk_matches_the_state_dict_walk():
+    for d in [*squarefree_range(5000), 9999991, 9999973]:
+        assert fundamental_unit(d) == state_dict_fundamental_unit(d), d
+
+
 def test_fundamental_unit_rejects_bad_d():
     for bad in (1, 4, 12, -3):
         with pytest.raises(ValueError):
@@ -118,6 +175,25 @@ def test_reduction_cycles_close_up():
                 assert f.is_reduced
                 assert reduction_step(f) == forms[(i + 1) % len(forms)]
         assert sum(len(c) for c in cycles) == len(reduced_forms(D))
+
+
+def test_internal_forms_skip_the_public_checks(monkeypatch):
+    calls = []
+    post_init = BinaryQuadraticForm.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BinaryQuadraticForm, "__post_init__", counting)
+    for D in (5, 316, 9973, 39992):
+        forms = reduced_forms(D)
+        form_cycles(D)
+        for f in forms:
+            reduction_step(f)
+        assert calls == [], D
+    BinaryQuadraticForm(1, 1, -1)  # the public constructor still checks
+    assert len(calls) == 1
 
 
 def test_reduction_step_requires_reduced():
@@ -365,6 +441,19 @@ def test_analytic_oracle_examples():
 def test_analytic_oracle_requires_30_digits():
     with pytest.raises(ValueError):
         analytic_class_number_oracle(5, digits=20)
+
+
+@pytest.mark.parametrize(
+    "D", [5, 8, 12, 13, 17, 21, 24, 33, 9973, 4 * 9991, 4 * 9998, 4 * 9999991])
+def test_character_at_primes_matches_the_kronecker_symbol(D):
+    # Euler's criterion at odd primes and D mod 8 at 2, against quadratic
+    # reciprocity; D runs over every class 0, 1, 4, 5 mod 8, the primes p | D
+    # below 3000 are 2, 3, 7, 11, 97 and 103, and the multiplicative
+    # extension to composites is compared as well
+    chi = _character_table(D, 2999)
+    for p in _primes_upto(2999):
+        assert chi[p] == _kronecker(D, p), (D, p)
+    assert chi == [0] + [_kronecker(D, a) for a in range(1, 3000)], D
 
 
 def _direct_log_sine_sum(D: int) -> mpmath.mpf:
