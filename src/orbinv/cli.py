@@ -33,7 +33,7 @@ from . import spinor
 PRECISION_ENV = "ORBINV_PRECISION_BITS"
 # cost caps: the field checks and the reduced forms of Q(sqrt d) take about
 # O(sqrt(d) log d) time, and sweep runs them and the O(D) oracle for every
-# d <= dmax (about 45 s at the cap); check-normalizer prints O(n^2) matrix and
+# d <= dmax (about 32 s at the cap); check-normalizer prints O(n^2) matrix and
 # form entries (about 1 s and 6.6 MB at the cap over Q(sqrt 5)); growth-bound
 # float work grows with the working precision, and its exact numerator is
 # printed in decimal, within the interpreter's default int-to-str limit
@@ -172,10 +172,11 @@ def _cmd_sweep(args) -> dict:
     for d in fi.squarefree_range(args.dmax):
         field = TotallyRealField.real_quadratic(d)
         inv = fi.restricted_class_number(field)
-        analytic = fi.analytic_class_number_oracle(d)
+        # d is checked once, by the field; the oracle reuses the row's unit
+        analytic = fi._class_number_from_unit(d, inv.units.fundamental_unit)
         agree = analytic == inv.h
         all_agree = all_agree and agree
-        row = {"d": str(d), "D": str(fi.fundamental_discriminant(d))}
+        row = {"d": str(d), "D": str(fi._fundamental_discriminant(d))}
         row.update(_invariants_payload(inv))
         row["analytic_h"] = str(analytic)
         row["oracle_agreement"] = agree

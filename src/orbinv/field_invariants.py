@@ -8,8 +8,12 @@ is one period of the purely periodic continued fraction one step past sqrt(d)
 or (1 + sqrt(d))/2. Reduced forms come from a divisor sieve over their middle
 coefficients, in O(sqrt(D) log D) time, with gcd(a, b, c) = 1 the one check
 on each; the cycle walk checks its integer steps by membership in that set.
-The oracle evaluates chi_D at primes by Euler's criterion. The headline
-quantity is the restricted 2-class number
+The oracle evaluates chi_D at primes by Euler's criterion, makes each sine
+with one integer product by a Chebyshev recurrence, multiplies only the sines
+with chi_D = +1, and gets the rest of the sum from Phi_D(1), the product of
+1 - zeta over the primitive D-th roots of unity zeta. Each public function of
+d checks d once; the private helpers behind them take a checked d. The
+headline quantity is the restricted 2-class number
 
     h_inf_2 = 2**(degree - 1) * h2 / [U : U_inf],
 
@@ -30,6 +34,7 @@ from .exact_arith import (
     QuadFieldElem,
     TotallyRealField,
     _is_square_int,
+    _quad,
     is_algebraic_integer,
     is_squarefree,
     sign_at,
@@ -62,6 +67,11 @@ __all__ = [
 def fundamental_discriminant(d: int) -> int:
     """Discriminant of the maximal order of Q(sqrt d): d if d = 1 mod 4, else 4d."""
     TotallyRealField.real_quadratic(d)  # checks d
+    return _fundamental_discriminant(d)
+
+
+def _fundamental_discriminant(d: int) -> int:
+    # for a d that is already checked
     return d if d % 4 == 1 else 4 * d
 
 
@@ -86,7 +96,12 @@ def fundamental_unit(d: int) -> QuadFieldElem:
     is the smallest unit above 1. It is verified to be an algebraic integer of
     norm +-1 exceeding 1 before it is returned.
     """
-    sqrt_d = TotallyRealField.real_quadratic(d).sqrt_gen()  # checks d
+    TotallyRealField.real_quadratic(d)  # checks d
+    return _fundamental_unit(d)
+
+
+def _fundamental_unit(d: int) -> QuadFieldElem:
+    # fundamental_unit for a d that is already checked
     s = isqrt(d)
     if d % 4 == 1:
         P0 = s if s % 2 else s - 1  # 2 floor((1 + sqrt d)/2) - 1
@@ -107,7 +122,8 @@ def fundamental_unit(d: int) -> QuadFieldElem:
         t11, t12, t21, t22 = t11 * a + t12, t11, t21 * a + t22, t21
         if P == P0 and Q == Q0:
             break
-    alpha = (sqrt_d + P0) / Q0  # T alpha = alpha, and T (alpha, 1) = eps (alpha, 1)
+    alpha = _quad(P0, 1, Q0, d)  # (P0 + sqrt d)/Q0, with T alpha = alpha
+    # and T (alpha, 1) = eps (alpha, 1)
     eps = t21 * alpha + t22
     if not is_algebraic_integer(eps) or eps.norm() not in (1, -1):
         raise InternalConsistencyError(f"continued fraction produced a non-unit for d={d}")
@@ -155,7 +171,7 @@ def unit_group_data(field: TotallyRealField) -> UnitGroupData:
     """Fundamental unit, its norm and [U : U_inf] for a field of degree <= 2."""
     if field.is_rationals:
         return UnitGroupData(None, None, 1)
-    eps = fundamental_unit(field.d)
+    eps = _fundamental_unit(field.d)
     vectors = [
         tuple(sign_at(field.coerce(-1), v) for v in field.non_id_places()),
         tuple(sign_at(eps, v) for v in field.non_id_places()),
@@ -456,7 +472,7 @@ def restricted_class_number(field: TotallyRealField) -> FieldInvariants:
     if field.is_rationals:
         h = h_plus = 1
     else:
-        h_plus = narrow_class_number(field.d)
+        h_plus = len(form_cycles(_fundamental_discriminant(field.d)))
         h = _wide_class_number(field.d, h_plus, units.unit_norm)
     h2 = two_class_number(h)
     h_inf_2 = _h_inf_2(field.degree, h2, units.unit_index_infinity)
@@ -537,14 +553,15 @@ def _character_table(D: int, n: int) -> list[int]:
 
 
 def _kernel_bits(D: int, digits: int) -> int:
-    # bits for 10**-digits, for the 4 * D**2 factor of the error bound of
-    # _log_sine_sum (see analytic_class_number_oracle), and 8 spare bits
-    return ceil(digits * log2(10)) + 2 * D.bit_length() + 2 + 8
+    # bits for 10**-digits, for the D**3 factor of the error bound of
+    # _log_sine_sum (see analytic_class_number_oracle), and 10 spare bits
+    return ceil(digits * log2(10)) + 3 * D.bit_length() + 10
 
 
 def _log_sine_sum(D: int, digits: int) -> mpmath.mpf:
-    """sum_{0<a<D} chi_D(a) log sin(pi a / D) for a discriminant D >= 5, with
-    absolute error below 10**-digits; see analytic_class_number_oracle."""
+    """sum_{0<a<D} chi_D(a) log sin(pi a / D) for a fundamental discriminant
+    D >= 5, with absolute error below 10**-digits; see
+    analytic_class_number_oracle."""
     prec = _kernel_bits(D, digits)
     half = (D - 1) // 2
     chi = _character_table(D, half)
@@ -554,27 +571,52 @@ def _log_sine_sum(D: int, digits: int) -> mpmath.mpf:
         return int(mpmath.nint(mpmath.ldexp(x, prec)))
 
     with mpmath.workprec(prec + 16):
-        c, s = fixed(mpmath.cos(mpmath.pi / D)), fixed(mpmath.sin(mpmath.pi / D))
-        c1, s1 = fixed(mpmath.cos(step * mpmath.pi / D)), fixed(mpmath.sin(step * mpmath.pi / D))
-    # (c, s) = 2**prec (cos, sin)(pi a / D); the sines with chi_D(a) = +1 and
-    # -1 multiply into pos * 2**pos_exp and neg * 2**neg_exp, mantissas of prec bits
-    pos = neg = 1 << prec
-    pos_exp = neg_exp = -prec
-    for a in range(1, half + 1, step):
-        k = chi[a]
-        if k == 1:
-            pos *= s
-            shift = pos.bit_length() - prec
-            pos >>= shift
-            pos_exp += shift - prec
-        elif k:
-            neg *= s
-            shift = neg.bit_length() - prec
-            neg >>= shift
-            neg_exp += shift - prec
-        c, s = (c * c1 - s * s1) >> prec, (s * c1 + c * s1) >> prec
+        s = fixed(mpmath.sin(mpmath.pi / D))
+        c2 = fixed(2 * mpmath.cos(step * mpmath.pi / D))
+    # s = 2**prec sin(pi a / D) by the recurrence sin(x + t) = 2 cos(t) sin(x)
+    # - sin(x - t), t = step pi / D, seeded with sin(pi (1 - step) / D); the
+    # sines with chi_D(a) = +1 multiply into pos * 2**pos_exp, a mantissa of
+    # prec bits, and the a with chi_D(a) != 0 are counted
+    prev = -s if step == 2 else 0
+    pos, pos_exp, coprime = 1 << prec, -prec, 0
+    for k in chi[1::step]:
+        if k:
+            coprime += 1
+            if k == 1:
+                pos *= s
+                shift = pos.bit_length() - prec
+                pos >>= shift
+                pos_exp += shift - prec
+        prev, s = s, (c2 * s >> prec) - prev
+    # Phi_D(1) is p when D is a power of the prime p and 1 otherwise; a
+    # fundamental discriminant is a prime power when it is 8, or an odd prime,
+    # which is when chi_D vanishes at no a <= (D - 1)/2
+    phi = 2 if D == 8 else D if coprime == half else 1
     with mpmath.workprec(prec):
-        return 2 * (mpmath.log(mpmath.mpf(pos) / neg) + (pos_exp - neg_exp) * mpmath.ln2)
+        # the log sine sums P and N over the a <= (D - 1)/2 with chi_D(a) = +1
+        # and -1 satisfy P + N = log(Phi_D(1))/2 - coprime log 2, so the
+        # whole sum 2 (P - N) is 4 P + 2 coprime log 2 - log(Phi_D(1))
+        return (4 * mpmath.log(pos) + (4 * pos_exp + 2 * coprime) * mpmath.ln2
+                - mpmath.log(phi))
+
+
+def _class_number_from_unit(d: int, eps: QuadFieldElem, digits: int = 40) -> int:
+    # analytic_class_number_oracle for a d that is already checked, with its
+    # fundamental unit eps
+    D = _fundamental_discriminant(d)
+    total = _log_sine_sum(D, digits)
+    with mpmath.workprec(_kernel_bits(D, digits)):
+        regulator = mpmath.log(mpmath.mpf(eps.a.numerator) / eps.a.denominator
+                               + mpmath.mpf(eps.b.numerator) / eps.b.denominator
+                               * mpmath.sqrt(d))
+        value = -total / (2 * regulator)
+        h = int(mpmath.nint(value))
+        residual = abs(value - h)
+        if residual > mpmath.mpf(10) ** -10:
+            raise ValueError(f"insufficient precision: residual {residual} for d={d}")
+    if h < 1:
+        raise InternalConsistencyError(f"analytic evaluation produced h={h} for d={d}")
+    return h
 
 
 def analytic_class_number_oracle(d: int, digits: int = 40) -> int:
@@ -589,36 +631,34 @@ def analytic_class_number_oracle(d: int, digits: int = 40) -> int:
     is visited and the half sum doubled; when D is even, chi_D also vanishes
     on even a, and only odd a are visited. chi_D(a) comes from a
     smallest-prime-factor sieve that evaluates the Kronecker symbol at primes
-    only, at odd primes by Euler's criterion (one modular power each). The sines are fixed-point integers at p bits, produced by repeated
-    integer rotation seeded from mpmath's cos and sin, and are multiplied into
-    one product for chi_D = +1 and one for chi_D = -1, each a p-bit mantissa
-    with a binary exponent; two logarithms finish the sum.
+    only, at odd primes by Euler's criterion (one modular power each). The
+    sines are fixed-point integers at p bits, one integer product each, by
+    the Chebyshev recurrence s_{k+1} = (2 cos(t) s_k >> p) - s_{k-1} seeded
+    from mpmath's sin(pi/D) and cos(t). Only the sines with chi_D = +1 are
+    multiplied into a product, a p-bit mantissa with a binary exponent: the
+    a <= D/2 prime to D, which are those with chi_D(a) != 0, satisfy
+    prod (2 sin(pi a/D)) = sqrt(Phi_D(1)), by prod_{gcd(a,D)=1} (1 - zeta_D**a)
+    = Phi_D(1), so the sines with chi_D = -1 follow from a count. Phi_D(1) is
+    D for an odd prime D, 2 for D = 8 and 1 for every other fundamental
+    discriminant. Two logarithms close the sum.
 
-    Precision budget: after k <= a rotation steps the sine of pi a/D is off
-    by less than 3k units of 2**-p, and sin(pi a/D) >= 2a/D for a <= D/2, so
-    every sine carries a relative error below 1.5 D 2**-p. With the 2**(1-p)
-    truncation of each product step and the closing logarithms, the whole sum
-    is off by less than 4 D**2 2**-p, so the guard bits grow like 2 log2 D. The
-    working precision p = ceil(digits log2 10) + 2 bitlen(D) + 10 keeps it
-    below 10**-digits / 256.
+    Precision budget: the recurrence error e_k of the k-th sine, in units of
+    2**-p, obeys e_{k+1} = 2 cos(t) e_k - e_{k-1} + r_k with |r_k| < 2 (the
+    floor of the product and the rounding of 2 cos t), so
+    e_k = e_1 U_{k-1}(cos t) - e_0 U_{k-2}(cos t) + sum_j r_j U_{k-1-j}(cos t),
+    and |U_m| <= m + 1 with |e_0|, |e_1| <= 1/2 gives |e_k| < k**2. The sine
+    of pi a/D is reached after k <= a steps and is at least 2a/D for
+    a <= D/2, so its relative error is below a D 2**-p / 2. Summed over
+    a <= D/2, with the 2**(1-p) truncation of each product step, the
+    product of the +1 sines is off by a relative D**3 2**-p / 16 plus lower
+    terms, and the sum, four times its logarithm, by less than D**3 2**-p, so
+    the guard bits grow like 3 log2 D. The working precision
+    p = ceil(digits log2 10) + 3 bitlen(D) + 10 keeps it below
+    10**-digits / 1024.
 
     This path never touches the form-reduction machinery and serves as its
     independent cross-check.
     """
     if digits < 30:
         raise ValueError("at least 30 working digits required")
-    D = fundamental_discriminant(d)
-    eps = fundamental_unit(d)
-    total = _log_sine_sum(D, digits)
-    with mpmath.workprec(_kernel_bits(D, digits)):
-        regulator = mpmath.log(mpmath.mpf(eps.a.numerator) / eps.a.denominator
-                               + mpmath.mpf(eps.b.numerator) / eps.b.denominator
-                               * mpmath.sqrt(d))
-        value = -total / (2 * regulator)
-        h = int(mpmath.nint(value))
-        residual = abs(value - h)
-        if residual > mpmath.mpf(10) ** -10:
-            raise ValueError(f"insufficient precision: residual {residual} for d={d}")
-    if h < 1:
-        raise InternalConsistencyError(f"analytic evaluation produced h={h} for d={d}")
-    return h
+    return _class_number_from_unit(d, fundamental_unit(d), digits)  # checks d

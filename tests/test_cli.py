@@ -12,6 +12,7 @@ from orbinv import (
     parse_element,
     restricted_class_number,
 )
+from orbinv import exact_arith, field_invariants
 from orbinv.cli import main
 
 Q = rationals()
@@ -219,6 +220,19 @@ def test_sweep_subcommand(capsys):
         assert row["analytic_h"] == row["h"]
         assert row["unit_index_infinity"] == "2"
         assert row["h_inf_2"] == row["h2"]
+
+
+def test_sweep_checks_d_and_finds_the_unit_once_per_row(capsys, monkeypatch):
+    # the row's field is the one check of d, and the oracle reuses the row's
+    # fundamental unit
+    checks, units = [], []
+    is_squarefree, unit = exact_arith.is_squarefree, field_invariants._fundamental_unit
+    monkeypatch.setattr(exact_arith, "is_squarefree",
+                        lambda n: checks.append(n) or is_squarefree(n))
+    monkeypatch.setattr(field_invariants, "_fundamental_unit", lambda d: units.append(d) or unit(d))
+    doc = run_json(capsys, "sweep", "--dmax", "15")
+    ds = [int(row["d"]) for row in doc["rows"]]
+    assert checks == ds and units == ds
 
 
 def test_validation_errors_exit_2(capsys):

@@ -10,6 +10,7 @@ from orbinv import (
     BinaryQuadraticForm,
     InternalConsistencyError,
     QuadFieldElem,
+    TotallyRealField,
     analytic_class_number_oracle,
     class_number,
     form_cycles,
@@ -26,7 +27,7 @@ from orbinv import (
     unit_index_from_sign_vectors,
     unit_index_infinity,
 )
-from orbinv import field_invariants
+from orbinv import exact_arith, field_invariants
 from orbinv.field_invariants import _character_table, _log_sine_sum, _primes_upto, _sqrt_mod
 
 Q = rationals()
@@ -354,7 +355,7 @@ def test_class_number_examples():
 
 def test_odd_narrow_class_number_with_norm_plus_one_is_inconsistent(monkeypatch):
     # Q(sqrt 3) has a unit of norm +1, so h+ = 2h must be even
-    monkeypatch.setattr(field_invariants, "narrow_class_number", lambda d: 1)
+    monkeypatch.setattr(field_invariants, "form_cycles", lambda D: [None])  # h+ = 1
     with pytest.raises(InternalConsistencyError):
         class_number(quad_field(3))
     with pytest.raises(InternalConsistencyError):
@@ -470,16 +471,55 @@ def _direct_log_sine_sum(D: int) -> mpmath.mpf:
         return total
 
 
-@pytest.mark.parametrize(
-    "D",
-    [5, 8, 12, 13, 9973, 4 * 9998, 4 * 9991],  # 9973 prime = 1 mod 4; 9998 = 2, 9991 = 3 mod 4
-)
+# 9973 is a prime = 1 mod 4, 9998 = 2 and 9991 = 3 mod 4, and 8 * 1249 is the
+# D = 0 mod 8 case; Phi_D(1) is D for 5, 13 and 9973, 2 for 8, and 1 otherwise
+KERNEL_DISCRIMINANTS = [5, 8, 12, 13, 24, 9973, 4 * 9998, 4 * 9991, 8 * 1249]
+
+
+@pytest.mark.parametrize("D", KERNEL_DISCRIMINANTS)
 def test_log_sine_kernel_matches_direct_sum(D):
     reference = _direct_log_sine_sum(D)
     for digits in (30, 40):
         with mpmath.workdps(60):
             error = abs(_log_sine_sum(D, digits) - reference)
-            assert error < mpmath.mpf(10) ** -(digits - 5), (D, digits, error)
+            assert error < mpmath.mpf(10) ** -digits, (D, digits, error)
+
+
+@pytest.mark.parametrize("D", KERNEL_DISCRIMINANTS)
+def test_cyclotomic_identity_closes_the_sine_sum(D):
+    # prod over a < D/2 prime to D of 2 sin(pi a / D) = sqrt(Phi_D(1)), where
+    # Phi_D(1) = p when D is a power of the prime p and 1 otherwise; the sines
+    # are taken one by one in mpmath at 60 digits
+    p = next(p for p in _primes_upto(D) if D % p == 0)
+    m = D
+    while m % p == 0:
+        m //= p
+    phi = p if m == 1 else 1
+    with mpmath.workdps(60):
+        total = mpmath.fsum(mpmath.log(2 * mpmath.sin(mpmath.pi * a / D))
+                            for a in range(1, (D + 1) // 2) if gcd(a, D) == 1)
+        assert abs(total - mpmath.log(phi) / 2) < mpmath.mpf(10) ** -50, (D, total)
+
+
+def test_d_is_checked_once_per_entry_point(monkeypatch):
+    # the field's constructor is the one check in restricted_class_number, and
+    # each public function of d checks it once; a fields op (a sweep row of the
+    # library) runs is_squarefree twice
+    calls = []
+    real = exact_arith.is_squarefree
+    monkeypatch.setattr(exact_arith, "is_squarefree", lambda n: calls.append(n) or real(n))
+    for d in (5, 10, 79, 9973):
+        field = TotallyRealField.real_quadratic(d)
+        assert calls == [d]
+        inv = restricted_class_number(field)
+        assert calls == [d]
+        assert analytic_class_number_oracle(d) == inv.h
+        assert calls == [d, d]
+        calls.clear()
+        for public in (fundamental_unit, fundamental_discriminant, narrow_class_number):
+            public(d)
+            assert calls == [d], public.__name__
+            calls.clear()
 
 
 def test_form_cycle_h_matches_oracle_to_1000():
