@@ -446,7 +446,10 @@ class SquareClass:
     Two classes are equal iff the quotient of their representatives is a
     square in the field. Over Q the representative is also kept canonical
     (the signed squarefree integer, which is what gets printed); over
-    Q(sqrt d) no canonical form is imposed.
+    Q(sqrt d) no canonical form is imposed, and a representative is whatever
+    element the class was made from. So `spinor_norm`'s representative over
+    Q(sqrt d) is Zassenhaus's 2^r det, in the same class as the product of
+    the f(v) over a reflection decomposition, though not the same element.
     """
 
     field: TotallyRealField

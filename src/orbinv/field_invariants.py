@@ -535,14 +535,17 @@ def _character_table(D: int, n: int) -> list[int]:
     # evaluated only at primes: at 2 from D mod 8, and at an odd prime p by
     # Euler's criterion chi_D(p) = D**((p-1)/2) mod p. A smallest-prime-factor
     # sieve gives every composite a = p * (a / p) with both factors already in
-    # the table.
+    # the table. When D is even, chi_D vanishes on even a, so only the odd a
+    # are sieved and filled, and the even ones stay 0.
+    step = 2 if D % 2 == 0 else 1
     factor = [0] * (n + 1)  # smallest prime factor of composite a, 0 at primes
-    for p in reversed(_primes_upto(isqrt(n))):  # the smallest prime factor is written last
-        factor[p * p::p] = [p] * len(range(p * p, n + 1, p))
+    # the smallest prime factor is written last; odd a have no factor 2
+    for p in reversed(_primes_upto(isqrt(n))[step - 1:]):
+        factor[p * p::step * p] = [p] * len(range(p * p, n + 1, step * p))
     chi = [0] * (n + 1)
     chi[1] = 1
     chi[2] = (0, 1, 0, -1, 0, -1, 0, 1)[D % 8]  # n >= 2, as D >= 5
-    for a in range(3, n + 1):
+    for a in range(3, n + 1, step):
         p = factor[a]
         if p:
             chi[a] = chi[p] * chi[a // p]
@@ -629,7 +632,7 @@ def analytic_class_number_oracle(d: int, digits: int = 40) -> int:
 
     The sum is an O(D) integer kernel. chi_D is even, so only a <= (D-1)/2
     is visited and the half sum doubled; when D is even, chi_D also vanishes
-    on even a, and only odd a are visited. chi_D(a) comes from a
+    on even a, and only odd a are visited, and sieved. chi_D(a) comes from a
     smallest-prime-factor sieve that evaluates the Kronecker symbol at primes
     only, at odd primes by Euler's criterion (one modular power each). The
     sines are fixed-point integers at p bits, one integer product each, by

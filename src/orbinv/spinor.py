@@ -2,8 +2,12 @@
 
 Everything here is exact: isometries are matrices over Q or Q(sqrt d),
 reflection decompositions recompose to the source matrix exactly, and the
-spinor norm lands in k*/(k*)^2 via the product of the form values of the
-reflection vectors.
+spinor norm lands in k*/(k*)^2. The spinor norm of an isometry g is
+Zassenhaus's determinant, 2^r times a principal r x r minor of F(I - g),
+taken by one fraction-free elimination; it decomposes nothing. The product
+of the form values of the reflection vectors gives the same class, and
+`spinor_norm_of_matrix`, `spinor_norm_of_vectors` and the tests take it
+that way.
 
 An isometry is checked once, by decomposing it: the reflection walk of
 `decompose_matrix` reaches the identity exactly when its input is the product
@@ -17,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .exact_arith import (
     InternalConsistencyError,
     QuadFieldElem,
     SquareClass,
     TotallyRealField,
+    _quad,
     in_k_infinity_star,
     is_algebraic_integer,
     sign_at,
@@ -381,12 +386,82 @@ def _spinor_class(form: DiagonalForm, vectors) -> SquareClass:
     return out
 
 
-def spinor_norm(g: Isometry) -> SquareClass:
-    """Class of prod f(v_i) in k*/(k*)^2 over a reflection decomposition of g.
+def _zassenhaus_determinant(form: DiagonalForm, matrix) -> QuadFieldElem:
+    # 2^r det F(I - g)[J, J] for an isometry g, where r is the rank of I - g
+    # and J its pivot columns, by one fraction-free (Bareiss) elimination of
+    # I - g over Z[sqrt d]: an element is an integer pair (a, b) for
+    # a + b sqrt(d), and row i is cleared by its own denominator L_i. Columns
+    # are taken in order, each pivoting on the first live row that is nonzero
+    # there. The pivot columns are then J, and the pivot rows the row rank
+    # profile, since a row that depends on earlier rows is nonzero only where
+    # one of them is. The two profiles are the same set: (I - g)^T F =
+    # -F g^-1 (I - g), so row i of I - g is column i carried by the invertible
+    # F g^-1 and scaled by -1/f_i. So the last pivot is det (I - g)[J, J]
+    # times prod L_j, up to the sign of the order the rows were taken in.
+    size = form.dim
+    d = form.coefficients[0]._d
+    rows, scales = [], []
+    for i, row in enumerate(matrix):
+        den = lcm(*(x._den for x in row))
+        rows.append([
+            ((den if i == j else 0) - x._a * (den // x._den), -x._b * (den // x._den))
+            for j, x in enumerate(row)
+        ])
+        scales.append(den)
+    live = list(range(size))
+    taken = []  # pivot rows, in the order of their columns
+    columns = []
+    pa, pb = 1, 0  # the last pivot
+    for c in range(size):
+        i = next((i for i in live if rows[i][c] != (0, 0)), None)
+        if i is None:
+            continue
+        live.remove(i)
+        taken.append(i)
+        columns.append(c)
+        qa, qb = pa, pb
+        pa, pb = rows[i][c]
+        pivot_row = rows[i]
+        # the new entries are minors, divisible in Z[sqrt d] by the previous
+        # pivot q: u / q = u conj(q) / N(q)
+        nq = qa * qa - qb * qb * d
+        for t in live:
+            row = rows[t]
+            ta, tb = row[c]
+            row[c] = (0, 0)
+            for k in range(c + 1, size):
+                xa, xb = row[k]
+                ya, yb = pivot_row[k]
+                ua = pa * xa + pb * xb * d - ta * ya - tb * yb * d
+                ub = pa * xb + pb * xa - ta * yb - tb * ya
+                row[k] = ((ua * qa - ub * qb * d) // nq, (ub * qa - ua * qb) // nq)
+    if sorted(taken) != columns:
+        raise InternalConsistencyError("pivot rows of I - g are not its pivot columns")
+    inversions = sum(a > b for k, a in enumerate(taken) for b in taken[k + 1:])
+    sign = -1 if inversions % 2 else 1
+    out = _quad(sign * pa << len(columns), sign * pb << len(columns),
+                prod(scales[j] for j in columns), d)
+    for j in columns:
+        out = out * form.coefficients[j]
+    return out
 
-    Independent of the decomposition, so any pivot order gives the same class.
+
+def spinor_norm(g: Isometry) -> SquareClass:
+    """theta(g) in k*/(k*)^2, by Zassenhaus's determinant.
+
+    With r the rank of I - g and J its pivot columns, theta(g) is the class
+    of 2^r det M, M the J x J principal minor of F(I - g) for
+    F = diag(coefficients) (Zassenhaus, "On the spinor norm", Arch. Math. 13,
+    1962). M is the Gram matrix of the form [(1 - g)x, (1 - g)y] = B(x, (1 - g)y)
+    on (1 - g)V in the basis (1 - g)e_j, j in J; that form is nondegenerate,
+    so M never is singular. For a reflection in v, M is the 1 x 1 matrix
+    f(v)/2, and in general the class is that of the product of the f(v_i)
+    over any reflection decomposition of g, though none is computed: the
+    minor comes from one fraction-free (Bareiss) elimination of I - g. The
+    representative is 2^r det M itself, which over Q the class reduces to
+    its signed squarefree integer.
     """
-    return _spinor_class(g.form, cartan_dieudonne_decompose(g).vectors)
+    return SquareClass.of(g.form.field, _zassenhaus_determinant(g.form, g.matrix))
 
 
 def spinor_norm_of_matrix(form: DiagonalForm, matrix) -> tuple[SquareClass, int]:
@@ -459,7 +534,9 @@ def normalizer_index_check(field: TotallyRealField, n: int) -> NormalizerReport:
     The witness is the product of the reflections in e_0 and e_1, an isometry
     of the standard admissible diagonal form by construction; it is verified to
     stabilize the lattice O_k^(n+1) and to fail SO_0 membership, and each fixed
-    representative is checked to lie in k_infinity^*.
+    representative is checked to lie in k_infinity^*. Its spinor class is
+    taken from the two vectors, as the class of f(e_0) f(e_1) = -c, which
+    fixes the printed representative over Q(sqrt 5).
     """
     if n < 4 or n % 2:
         raise ValueError(f"n must be even and >= 4, got {n}")
@@ -468,9 +545,10 @@ def normalizer_index_check(field: TotallyRealField, n: int) -> NormalizerReport:
     # -1 over Q and the conjugate of c over Q(sqrt 5) (the golden ratio has
     # norm -1)
     fixed = (field.one(), -1 / form.coefficients[0])
-    witness = Isometry.from_reflections(form, (form.basis_vector(0), form.basis_vector(1)))
+    vectors = (form.basis_vector(0), form.basis_vector(1))
+    witness = Isometry.from_reflections(form, vectors)
     fixed_classes = tuple(SquareClass.of(field, t) for t in fixed)
-    witness_class = spinor_norm(witness)
+    witness_class = _spinor_class(form, vectors)
     return NormalizerReport(
         field=field,
         n=n,

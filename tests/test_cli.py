@@ -123,6 +123,15 @@ def test_check_normalizer_subcommand(capsys):
     assert doc5["fixed_classes_in_k_infinity_star"] == [True, True]
 
 
+def test_check_normalizer_witness_class_goldens(capsys):
+    # a class over Q(sqrt 5) has no canonical representative, so the printed
+    # one is fixed here: f(e_0) f(e_1) = -phi for the witness's two vectors
+    doc = run_json(capsys, "check-normalizer", "--field", "Q", "--n", "4")
+    assert doc["witness_spinor_class"] == "-1/1"
+    doc5 = run_json(capsys, "check-normalizer", "--field", "Q(sqrt 5)", "--n", "4")
+    assert doc5["witness_spinor_class"] == "-1/2+-1/2*sqrt(5)"
+
+
 def test_growth_bound_subcommand(capsys):
     code, out, err = run(capsys, "growth-bound", "--r", "2", "--degree", "1")
     assert code == 0

@@ -457,6 +457,20 @@ def test_character_at_primes_matches_the_kronecker_symbol(D):
     assert chi == [0] + [_kronecker(D, a) for a in range(1, 3000)], D
 
 
+def test_character_table_for_even_discriminants_fills_odd_a_only():
+    # for even D the table is sieved and filled at odd a only; the even
+    # entries stay 0, which is chi_D there, so the whole half table the oracle
+    # builds still equals the Kronecker symbol, for every even fundamental
+    # discriminant D < 400
+    # an even D = 4d needs d < 100, so d <= 100 gives every one of them
+    even = sorted(D for D in map(fundamental_discriminant, squarefree_range(100))
+                  if D % 2 == 0 and D < 400)
+    assert len(even) == 41
+    for D in even:
+        half = (D - 1) // 2
+        assert _character_table(D, half) == [0] + [_kronecker(D, a) for a in range(1, half + 1)], D
+
+
 def _direct_log_sine_sum(D: int) -> mpmath.mpf:
     """Reference: the plain O(D) sum of chi_D(a) log sin(pi a / D) over
     0 < a < D, one mpmath sine and logarithm per term, at 60 digits."""

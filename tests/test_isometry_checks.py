@@ -8,6 +8,7 @@ the unchecked constructions against references that share no code with
 """
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -211,3 +212,33 @@ def test_trusted_paths_never_call_preserves_form(capsys, monkeypatch):
     assert main(["decompose", "--field", "Q", "--form", "1,-1,-1", "--matrix", bad]) == 2
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_spinor_norm_decomposes_only_to_check(monkeypatch):
+    # the public constructor's check is the one decomposition; the spinor
+    # norm itself runs none, so a reflection chain is never decomposed
+    calls = []
+    decompose = spinor.decompose_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(spinor, "decompose_matrix", counting)
+    boost = ((Fraction(5, 3), Fraction(4, 3), 0), (Fraction(4, 3), Fraction(5, 3), 0), (0, 0, 1))
+    form = admissible_form(Q, 3)
+    spinor_norm(Isometry(form, boost))
+    assert len(calls) == 1
+    calls.clear()
+    spinor_norm(Isometry.from_reflections(form, [(1, 2, 0), (3, 1, 1)]))
+    assert calls == []
+
+
+def test_spinor_norm_refuses_a_shear_smuggled_past_the_check():
+    # I - g has its one nonzero entry at (0, 1): pivot row 0, pivot column 1,
+    # which no isometry allows; the unchecked constructor lets it through
+    form = admissible_form(Q, 3)
+    shear = spinor._coerce_matrix(form, ((1, -1, 0), (0, 1, 0), (0, 0, 1)))
+    assert not preserves_form(form, shear)
+    with pytest.raises(InternalConsistencyError):
+        spinor_norm(spinor._isometry(form, shear))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     SEED,
@@ -17,6 +18,7 @@ from orbinv import (
     Isometry,
     QuadFieldElem,
     SquareClass,
+    TotallyRealField,
     admissibility_check,
     cartan_dieudonne_decompose,
     decompose_matrix,
@@ -238,6 +240,145 @@ def test_sampled_spinor_classes_have_representatives_in_k_infinity():
         for _ in range(10):
             cls = spinor_norm(random_isometry(rng, form))
             assert in_k_infinity_star(cls.representative, K5)
+
+
+# --- Zassenhaus's determinant against the reflection walk ---
+
+
+def walk_class(g, pivot_order=None):
+    # the fold of f(v) over the walk's decomposition: the definition of theta
+    cls = SquareClass.trivial(g.form.field)
+    for v in cartan_dieudonne_decompose(g, pivot_order).vectors:
+        cls = cls * SquareClass.of(g.form.field, g.form.evaluate(v))
+    return cls
+
+
+# coefficients of the drawn forms: admissible ones, and indefinite ones whose
+# pivot rows come out of order, so the sign of the row order is exercised
+COEFFICIENT_POOLS = {
+    "Q": (1, -1, 2, -2, 3),
+    "Q(sqrt 5)": (golden(), golden().conjugate(), -1, 2, 1),
+}
+
+# chains whose walk takes the two-reflection correction: (y, y + e_i) sends
+# e_i to y, and y - e_i is isotropic; the flag says whether the walk must
+# pivot in reversed order to meet e_i first
+CORRECTION_CHAINS = [
+    ((1, 1, -1), ((1, -5, -5), (2, -5, -5)), False),
+    ((2, -1, 1, -1), ((1, -5, -5, 0), (2, -5, -5, 0)), False),
+    ((1, -1, -1), ((-5, -5, 1), (-5, -5, 2)), True),
+    ((1, -1, -1, -1, -1), ((-5, -5, 0, 0, 1), (-5, -5, 0, 0, 2)), True),
+]
+# an indefinite form whose pivot rows come out in the odd order (1, 0)
+ROW_SWAP_CHAIN = ((3, 2, -2), ((-1, -2, 2), (-1, -1, 1)))
+
+
+def with_fixed_chains(test):
+    # the identity (r = 0), the row swap and every correction chain, over
+    # both fields, ahead of the drawn chains
+    chains = [((1, -1, -1), ()), ROW_SWAP_CHAIN] + [c[:2] for c in CORRECTION_CHAINS]
+    for label in sorted(COEFFICIENT_POOLS):
+        for coefficients, vectors in chains:
+            test = example((label, coefficients, vectors))(test)
+    return test
+
+
+@st.composite
+def reflection_chains(draw):
+    label = draw(st.sampled_from(sorted(COEFFICIENT_POOLS)))
+    dim = draw(st.integers(3, 5))
+    coefficients = tuple(draw(st.sampled_from(COEFFICIENT_POOLS[label])) for _ in range(dim))
+    entries = st.integers(-3, 3)
+    vectors = draw(st.lists(st.tuples(*[entries] * dim), max_size=8))
+    return label, coefficients, vectors
+
+
+def chain_isometry(label, coefficients, vectors):
+    form = DiagonalForm(TotallyRealField.from_label(label), coefficients)
+    kept = [v for v in vectors if any(v) and form.evaluate(v)]
+    return Isometry.from_reflections(form, kept[: len(kept) // 2 * 2])
+
+
+def pivot_columns(rows):
+    # column rank profile by plain elimination over the field: each column is
+    # reduced against the kept ones, which vanish at each other's pivots
+    kept, out = [], []
+    for j in range(len(rows)):
+        column = [row[j] for row in rows]
+        for p, b in kept:
+            if column[p]:
+                t = column[p] / b[p]
+                column = [x - t * y for x, y in zip(column, b)]
+        pivot = next((i for i, x in enumerate(column) if x), None)
+        if pivot is not None:
+            kept.append((pivot, column))
+            out.append(j)
+    return out
+
+
+def laplace_det(field, m):
+    if not m:
+        return field.one()
+    return sum((m[0][j] * laplace_det(field, [row[:j] + row[j + 1:] for row in m[1:]])
+                * (-1 if j % 2 else 1) for j in range(len(m))), field.zero())
+
+
+def zassenhaus_reference(g):
+    # 2^r det of the J x J minor of F(I - g), J the pivot columns of I - g
+    f, size = g.form.coefficients, g.form.dim
+    one, zero = g.form.field.one(), g.form.field.zero()
+    a = [[(one if i == j else zero) - g.matrix[i][j] for j in range(size)] for i in range(size)]
+    cols = pivot_columns(a)
+    minor = [[f[i] * a[i][j] for j in cols] for i in cols]
+    return 2 ** len(cols) * laplace_det(g.form.field, minor)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(reflection_chains())
+@with_fixed_chains
+def test_zassenhaus_spinor_norm_matches_the_walk(chain):
+    g = chain_isometry(*chain)
+    theta = spinor_norm(g)
+    reversed_order = tuple(reversed(range(g.form.dim)))
+    walked = walk_class(g)
+    assert theta == walked
+    assert theta == walk_class(g, reversed_order)
+    if g.form.field.is_rationals:
+        # the same signed squarefree integer as the fold over the walk
+        assert theta.representative == walked.representative
+    else:
+        assert theta.representative == zassenhaus_reference(g)
+    if g.matrix == Isometry.identity(g.form).matrix:
+        assert theta.representative == 1  # r = 0: the empty minor
+
+
+@pytest.mark.parametrize("label", ["Q", "Q(sqrt 5)"])
+@pytest.mark.parametrize("coefficients, vectors, reverse", CORRECTION_CHAINS)
+def test_correction_chains_take_the_isotropic_branch(label, coefficients, vectors, reverse,
+                                                     monkeypatch):
+    isotropic = []
+    evaluate = DiagonalForm.evaluate
+
+    def counting(form, v):
+        value = evaluate(form, v)
+        if not value:
+            isotropic.append(v)
+        return value
+
+    g = chain_isometry(label, coefficients, vectors)
+    order = tuple(reversed(range(g.form.dim))) if reverse else None
+    monkeypatch.setattr(DiagonalForm, "evaluate", counting)
+    cartan_dieudonne_decompose(g, order)
+    assert isotropic
+
+
+def test_zassenhaus_signs_the_row_order():
+    # column 0 of I - g is zero on row 0 but not on row 1, so the minor's rows
+    # come out in the order (1, 0); without the sign of that order the class
+    # over Q would be off by -1, which is not a square
+    g = chain_isometry("Q", *ROW_SWAP_CHAIN)
+    assert g.matrix[0][0] == 1 and g.matrix[1][0] != 0
+    assert spinor_norm(g) == walk_class(g)
 
 
 # --- SO_0 membership ---
