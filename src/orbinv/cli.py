@@ -44,6 +44,7 @@ MAX_PRECISION_BITS = 10_000
 MAX_NUMERATOR_DIGITS = 4300
 
 _NUMBER_TOKEN_RE = re.compile(r"^-?\d+(\.\d+)?([eE][-+]?\d+)?$")
+_PLACEHOLDER_RE = re.compile(r'(?<!\\)"@@RAWFLOAT(\d+)@@"')
 
 
 class CommandError(Exception):
@@ -84,10 +85,10 @@ def _dumps(doc) -> str:
             return [strip(v) for v in obj]
         return obj
 
+    # a match is a whole JSON string, since a quote inside one follows a
+    # backslash; a document without floats, maybe megabytes, is not scanned
     text = json.dumps(strip(doc), indent=2)
-    for i, tok in enumerate(tokens):
-        text = text.replace(f'"@@RAWFLOAT{i}@@"', tok)
-    return text
+    return _PLACEHOLDER_RE.sub(lambda m: tokens[int(m[1])], text) if tokens else text
 
 
 def _parse_field(label: str, id_place: int = 0) -> TotallyRealField:
@@ -197,15 +198,16 @@ def _spinor_inputs(args):
         vectors = spinor.decompose_matrix(form, matrix)
     except ValueError as exc:
         raise CommandError("invalid-matrix", str(exc))
-    return field, form, vectors
+    return field, form, matrix, vectors
 
 
 def _cmd_spinor_norm(args) -> dict:
-    field, form, vectors = _spinor_inputs(args)
+    field, form, matrix, vectors = _spinor_inputs(args)
     cls, det = spinor.spinor_norm_of_vectors(form, vectors)
     in_so0 = None
     if det == 1 and spinor.admissibility_check(form):
-        in_so0 = spinor.so0_membership(spinor.Isometry.from_reflections(form, vectors))
+        # the walk has just checked the parsed matrix: an isometry of det 1
+        in_so0 = spinor.so0_membership(spinor._isometry(form, matrix))
     return {
         "spinor_class": format_element(cls.representative),
         "in_k_infinity_star": in_k_infinity_star(cls.representative, field),
@@ -216,7 +218,7 @@ def _cmd_spinor_norm(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    field, form, vectors = _spinor_inputs(args)
+    field, form, _, vectors = _spinor_inputs(args)
     cls, det = spinor.spinor_norm_of_vectors(form, vectors)
     return {
         "vectors": [[format_element(x) for x in v] for v in vectors],

@@ -431,12 +431,10 @@ def in_k_infinity_star(x, field: TotallyRealField) -> bool:
 
 
 def is_algebraic_integer(x) -> bool:
-    """True iff x lies in the ring of integers of its field.
-
-    Over Q (d = 1, b = 0) the norm a^2/den^2 is integral iff den = 1.
-    """
+    """True iff x lies in the ring of integers of its field: den | 2a and
+    den^2 | a^2 - b^2 d, for its trace and norm (over Q, iff den = 1)."""
     x = _element(x)
-    return x.trace().denominator == 1 and x.norm().denominator == 1
+    return not 2 * x._a % x._den and not (x._a * x._a - x._b * x._b * x._d) % (x._den * x._den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,8 +508,8 @@ def format_element(x) -> str:
     x = _element(x)
     if x._d == 1:
         return f"{x._a}/{x._den}"
-    a, b = x.a, x.b
-    return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt({x._d})"
+    ga, gb = gcd(x._a, x._den), gcd(x._b, x._den)  # each part in lowest terms
+    return f"{x._a // ga}/{x._den // ga}+{x._b // gb}/{x._den // gb}*sqrt({x._d})"
 
 
 def parse_element(text: str, field: TotallyRealField) -> QuadFieldElem:

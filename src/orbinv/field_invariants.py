@@ -36,6 +36,7 @@ from .exact_arith import (
     _is_square_int,
     _quad,
     is_algebraic_integer,
+    is_square,
     is_squarefree,
     sign_at,
 )
@@ -94,14 +95,25 @@ def fundamental_unit(d: int) -> QuadFieldElem:
     steps the exact (P, Q) state from there until (P0, Q0) comes back; the
     convergent matrix T of that period fixes alpha, and eps = T21 alpha + T22
     is the smallest unit above 1. It is verified to be an algebraic integer of
-    norm +-1 exceeding 1 before it is returned.
+    norm +-1 exceeding 1, and no square, before it is returned.
     """
     TotallyRealField.real_quadratic(d)  # checks d
     return _fundamental_unit(d)
 
 
 def _fundamental_unit(d: int) -> QuadFieldElem:
-    # fundamental_unit for a d that is already checked
+    # fundamental_unit for a checked d: the walk's unit and its checks; a square
+    # would halve h on both sides, and is_square rejects norm -1 by its norm
+    eps = _unit_walk(d)
+    if not is_algebraic_integer(eps) or eps.norm() not in (1, -1) or sign_at(eps - 1, 0) != 1:
+        raise InternalConsistencyError(f"continued fraction produced no unit above 1 for d={d}")
+    if is_square(eps):
+        raise InternalConsistencyError(f"continued fraction unit for d={d} is a square")
+    return eps
+
+
+def _unit_walk(d: int) -> QuadFieldElem:
+    # one period of the continued fraction, as the unit T21 alpha + T22
     s = isqrt(d)
     if d % 4 == 1:
         P0 = s if s % 2 else s - 1  # 2 floor((1 + sqrt d)/2) - 1
@@ -123,13 +135,7 @@ def _fundamental_unit(d: int) -> QuadFieldElem:
         if P == P0 and Q == Q0:
             break
     alpha = _quad(P0, 1, Q0, d)  # (P0 + sqrt d)/Q0, with T alpha = alpha
-    # and T (alpha, 1) = eps (alpha, 1)
-    eps = t21 * alpha + t22
-    if not is_algebraic_integer(eps) or eps.norm() not in (1, -1):
-        raise InternalConsistencyError(f"continued fraction produced a non-unit for d={d}")
-    if sign_at(eps - 1, 0) != 1:
-        raise InternalConsistencyError(f"continued fraction unit for d={d} is not > 1")
-    return eps
+    return t21 * alpha + t22  # T (alpha, 1) = eps (alpha, 1)
 
 
 # ---------------------------------------------------------------------------

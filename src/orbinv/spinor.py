@@ -88,19 +88,18 @@ class DiagonalForm:
 
     def evaluate(self, v):
         """f(v) = sum a_i v_i^2."""
-        return self.bilinear(v, v)
+        v = self.coerce_vector(v)
+        return sum((c * x * x for c, x in zip(self.coefficients, v)), self.field.zero())
 
     def bilinear(self, u, v):
         """Polar form B(u, v) = sum a_i u_i v_i, with B(v, v) = f(v)."""
-        u = self.coerce_vector(u)
-        v = self.coerce_vector(v)
-        total = self.field.zero()
-        for c, x, y in zip(self.coefficients, u, v):
-            total = total + c * x * y
-        return total
+        u, v = self.coerce_vector(u), self.coerce_vector(v)
+        return sum((c * x * y for c, x, y in zip(self.coefficients, u, v)), self.field.zero())
 
     def basis_vector(self, i: int) -> tuple:
-        return identity_matrix(self.field, self.dim)[i]
+        v = [self.field.zero()] * self.dim
+        v[i] = self.field.one()
+        return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +287,8 @@ def _primitive_vector(field: TotallyRealField, v) -> tuple:
     # factors, then flip the sign so the first nonzero coordinate is positive
     # at Id; rational rescaling leaves the reflection and the square class of
     # f(v) unchanged
-    parts = [p for x in v for p in (x.a, x.b)]
-    den = lcm(*(p.denominator for p in parts))
-    num = gcd(*(p.numerator * (den // p.denominator) for p in parts))
+    den = lcm(*(x._den for x in v))
+    num = gcd(*(p * (den // x._den) for x in v for p in (x._a, x._b)))
     scale = Fraction(den, num)
     w = tuple(x * scale for x in v)
     first = next(x for x in w if x)
@@ -376,14 +374,6 @@ def cartan_dieudonne_decompose(g: Isometry, pivot_order=None) -> ReflectionDecom
 # ---------------------------------------------------------------------------
 # Spinor norm
 # ---------------------------------------------------------------------------
-
-
-def _spinor_class(form: DiagonalForm, vectors) -> SquareClass:
-    field = form.field
-    out = SquareClass.trivial(field)
-    for v in vectors:
-        out = out * SquareClass.of(field, form.evaluate(v))
-    return out
 
 
 def _zassenhaus_determinant(form: DiagonalForm, matrix) -> QuadFieldElem:
@@ -474,7 +464,10 @@ def spinor_norm_of_matrix(form: DiagonalForm, matrix) -> tuple[SquareClass, int]
 
 def spinor_norm_of_vectors(form: DiagonalForm, vectors) -> tuple[SquareClass, int]:
     """Spinor norm and determinant sign of the product of reflections in `vectors`."""
-    return _spinor_class(form, vectors), -1 if len(vectors) % 2 else 1
+    cls = SquareClass.trivial(form.field)
+    for v in vectors:
+        cls = cls * SquareClass.of(form.field, form.evaluate(v))
+    return cls, -1 if len(vectors) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +541,7 @@ def normalizer_index_check(field: TotallyRealField, n: int) -> NormalizerReport:
     vectors = (form.basis_vector(0), form.basis_vector(1))
     witness = Isometry.from_reflections(form, vectors)
     fixed_classes = tuple(SquareClass.of(field, t) for t in fixed)
-    witness_class = _spinor_class(form, vectors)
+    witness_class, _ = spinor_norm_of_vectors(form, vectors)
     return NormalizerReport(
         field=field,
         n=n,

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from conftest import quad_field, rationals
 from orbinv import (
     SquareClass,
     TotallyRealField,
+    format_element,
     parse_element,
     restricted_class_number,
 )
@@ -409,3 +415,173 @@ def test_sweep_dmax_over_the_cap_is_rejected_before_any_work(capsys, monkeypatch
             2, "", {"error": "invalid-arguments", "detail": f"--dmax must be at most {MAX_DMAX}"})
     code, out, err = run(capsys, "sweep", "--dmax", str(MAX_DMAX))
     assert (code, out, json.loads(err)["detail"]) == (2, "", "reached")
+
+
+# --- one piece of work per request ---
+
+
+WITNESS_MATRIX = '[["-1","0","0"],["0","-1","0"],["0","0","1"]]'
+
+
+def test_spinor_norm_reads_so0_from_the_parsed_matrix(capsys, monkeypatch):
+    # the walk has checked the input matrix, so nothing rebuilds the isometry
+    from orbinv import spinor
+
+    rebuilt = []
+
+    def forbidden(*args):
+        rebuilt.append(args)
+        raise AssertionError("isometry rebuilt")
+
+    monkeypatch.setattr(spinor.Isometry, "from_reflections", forbidden)
+    monkeypatch.setattr(spinor.ReflectionDecomposition, "recompose", forbidden)
+    requests = [
+        (("Q", "1,-1,-1", BLOCK_MATRIX), True),
+        (("Q", "1,-1,-1", WITNESS_MATRIX), False),
+        (("Q", "-1,1,1", WITNESS_MATRIX), False),
+        (("Q(sqrt 5)", "1/2+1/2*sqrt(5),-1,-1", WITNESS_MATRIX), False),
+        (("Q(sqrt 5)", "1/2+1/2*sqrt(5),-1,-1", '[["1","0","0"],["0","0","1"],["0","-1","0"]]'),
+         True),
+    ]
+    for (field, form, matrix), in_so0 in requests:
+        doc = run_json(capsys, "spinor-norm", "--field", field, f"--form={form}", "--matrix", matrix)
+        assert doc["in_so0"] is in_so0, (field, form, matrix)
+    assert rebuilt == []
+
+
+def test_check_normalizer_builds_one_identity(capsys, monkeypatch):
+    # the witness's recompose starts from the identity; the two basis vectors
+    # are built as single rows
+    from orbinv import spinor
+
+    calls = []
+    identity = spinor.identity_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return identity(*args)
+
+    monkeypatch.setattr(spinor, "identity_matrix", counting)
+    for field in ("Q", "Q(sqrt 5)"):
+        calls.clear()
+        doc = run_json(capsys, "check-normalizer", "--field", field, "--n", "64")
+        assert doc["witness_in_so0"] is False
+        assert len(calls) == 1, field
+
+
+def test_a_placeholder_forged_in_an_error_message_stays_text(capsys):
+    # argparse quotes unknown arguments in its message, inside a JSON string
+    forged = 'x"@@RAWFLOAT0@@'
+    code, out, err = run(capsys, "sweep", "--dmax", "3", forged)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["detail"] == f"unrecognized arguments: {forged}"
+
+
+# --- the input contract, as a property ---
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's --help, as a process would exit
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _either_side(below, above):
+    # values on both sides of a cap; the accepted side stays cheap
+    return st.one_of(st.integers(*below), st.integers(*above)).map(str)
+
+
+_BIG = st.integers(-10**60, 10**60)
+_SMALL = st.integers(-12, 12)
+_NUMERATORS = st.one_of(_SMALL, _BIG)
+_DENOMINATORS = st.one_of(st.integers(0, 9), st.integers(1, 10**60))
+_ELEMENT_TEXT = st.one_of(
+    _NUMERATORS.map(str),
+    st.builds("{}/{}".format, _NUMERATORS, _DENOMINATORS),
+    st.builds("{}/{}+{}/{}*sqrt({})".format, _NUMERATORS, _DENOMINATORS, _NUMERATORS,
+              _DENOMINATORS, st.sampled_from([2, 5])),
+    st.text(alphabet="0123456789/+-*sqrt() ,x", max_size=10),
+)
+_FIELD_LABELS = st.one_of(
+    st.sampled_from(["Q", "Q(sqrt 5)", "Q(sqrt 2)", "Q(sqrt 13)", "Q(sqrt 4)", "Q(sqrt 1)",
+                     "Q(sqrt 0)", "Q(sqrt -3)", "Z", "", " Q "]),
+    _either_side((2, 60), (10**7 + 1, 10**30)).map("Q(sqrt {})".format),
+)
+_FORMS = st.one_of(
+    st.sampled_from(["1,-1,-1", "-1,1,1", "1/2+1/2*sqrt(5),-1,-1", "1,-1,-1,-1"]),
+    st.lists(_ELEMENT_TEXT, min_size=1, max_size=4).map(",".join),
+)
+_MATRICES = st.one_of(
+    st.sampled_from([BLOCK_MATRIX, WITNESS_MATRIX, '[["-1","0","0"],["0","1","0"],["0","0","1"]]']),
+    st.sampled_from(["not json", "[1]", "[[1]]", "{}", "[]", "[[]]", '[["1"]]', "null"]),
+    st.integers(0, 4).flatmap(
+        lambda size: st.lists(st.lists(_ELEMENT_TEXT, min_size=size, max_size=size),
+                              min_size=size, max_size=size)).map(json.dumps),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["field-invariants", "sweep", "spinor-norm", "decompose",
+                                    "check-normalizer", "growth-bound", "free"]))
+    if command == "free":  # argparse's own paths: unknown names, missing or repeated flags
+        vocabulary = st.sampled_from(["field-invariants", "sweep", "spinor-norm", "growth-bound",
+                                      "--field", "--dmax", "--n", "--r", "--matrix", "--form",
+                                      "--id-place", "-h", "Q", "3", "x", "--", "-1"])
+        return draw(st.lists(st.one_of(vocabulary, st.text("abxz-=,", max_size=5)), max_size=6))
+    argv = [command]
+    if command == "field-invariants":
+        argv += ["--field", draw(_FIELD_LABELS)]
+        if draw(st.booleans()):
+            argv += ["--id-place", str(draw(st.integers(-1, 2)))]
+    elif command == "sweep":
+        argv += ["--dmax", draw(_either_side((-3, 50), (10**4 + 1, 10**30)))]
+    elif command in ("spinor-norm", "decompose"):
+        field = draw(st.one_of(st.sampled_from(["Q", "Q(sqrt 5)"]), _FIELD_LABELS))
+        # "=" keeps a value with a leading minus from reading as a flag
+        argv += ["--field", field, f"--form={draw(_FORMS)}", f"--matrix={draw(_MATRICES)}"]
+    elif command == "check-normalizer":
+        field = draw(st.one_of(st.sampled_from(["Q", "Q(sqrt 5)"]), _FIELD_LABELS))
+        argv += ["--field", field, "--n", draw(_either_side((-2, 16), (513, 10**30)))]
+    else:
+        flags = {
+            "--r": _either_side((-2, 12), (200, 10**30)),
+            "--certify": _either_side((-2, 12), (200, 10**30)),
+            "--degree": _either_side((-1, 4), (10**4, 10**30)),
+            "--precision": _either_side((-5, 256), (10**4 + 1, 10**30)),
+        }
+        names = st.one_of(
+            st.sampled_from([["--r"], ["--r", "--degree"], ["--r", "--degree", "--precision"],
+                             ["--certify"], ["--certify", "--precision"]]),
+            st.lists(st.sampled_from(sorted(flags)), unique=True),
+        )
+        for flag in draw(names):
+            argv += [flag, draw(flags[flag])]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_argvs())
+def test_every_argv_answers_or_exits_2_or_3(argv):
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in out + err, argv
+    if code == 0:
+        assert err == "" and (out.startswith("usage:") or json.loads(out)), argv
+    else:
+        assert out == "" and set(json.loads(err)) == {"error", "detail"}, argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from([None, 2, 5, 13]), _NUMERATORS, st.integers(1, 10**60), _NUMERATORS,
+       st.integers(1, 10**60))
+def test_wire_encoding_round_trips(d, p, q, r, s):
+    field = Q if d is None else quad_field(d)
+    x = field.coerce(Fraction(p, q))
+    if d is not None:
+        x = x + field.sqrt_gen() * Fraction(r, s)
+    assert parse_element(format_element(x), field) == x

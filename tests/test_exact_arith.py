@@ -315,6 +315,28 @@ def test_algebraic_integer_predicate():
     assert is_algebraic_integer(QuadFieldElem(Fraction(1, 2), Fraction(1, 2), 13))
 
 
+def _fraction_wire(x):
+    # the wire encoding as read off the Fraction parts
+    a, b = x.a, x.b
+    if x.d == 1:
+        return f"{a.numerator}/{a.denominator}"
+    return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt({x.d})"
+
+
+def test_integrality_and_wire_encoding_match_fraction_references():
+    # zero, signs, shared and coprime denominators, and 60-digit parts
+    big = 10**60 + 7
+    parts = sorted({Fraction(p, q) for p in (0, 1, -1, 2, -3, 7, big, -big)
+                    for q in (1, 2, 3, 4, 6, big)})
+    for field in (Q, K2, K5, quad_field(13)):
+        for a in parts:
+            for b in parts if field.d else (0,):
+                x = field.coerce(a) if not b else field.coerce(a) + field.sqrt_gen() * b
+                assert format_element(x) == _fraction_wire(x), (a, b)
+                integral = x.trace().denominator == 1 and x.norm().denominator == 1
+                assert is_algebraic_integer(x) == integral, (a, b)
+
+
 # --- reference model: an element as a pair of Fractions ---
 
 

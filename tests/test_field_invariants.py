@@ -137,6 +137,32 @@ def test_periodic_unit_walk_matches_the_state_dict_walk():
         assert fundamental_unit(d) == state_dict_fundamental_unit(d), d
 
 
+@pytest.mark.parametrize("d", [2, 10, 26, 65])
+def test_a_squared_unit_from_the_walk_raises(d, monkeypatch):
+    # at d = 10, 26 and 65 the unit has norm -1 and h+ = 2, so eps^2 halves h
+    # on the form and the oracle side alike: without the square check both
+    # agree on the wrong (h, h_inf_2, certified) = (1, 1, True)
+    walk = field_invariants._unit_walk
+    monkeypatch.setattr(field_invariants, "_unit_walk", lambda d: walk(d) ** 2)
+    field = quad_field(d)
+    with pytest.raises(InternalConsistencyError, match="is a square"):
+        restricted_class_number(field)
+    with pytest.raises(InternalConsistencyError, match="is a square"):
+        analytic_class_number_oracle(d)
+    monkeypatch.setattr(field_invariants, "is_square", lambda x: False)
+    if d == 2:  # h+ = 1 is odd, which the wide class number refuses for norm +1
+        with pytest.raises(InternalConsistencyError, match="odd"):
+            restricted_class_number(field)
+        return
+    inv = restricted_class_number(field)
+    assert (inv.h, inv.h_inf_2, inv.uniqueness_certified) == (1, 1, True)
+    assert analytic_class_number_oracle(d) == 1
+
+
+def test_no_fundamental_unit_is_a_square():
+    assert not any(exact_arith.is_square(fundamental_unit(d)) for d in squarefree_range(3000))
+
+
 def test_fundamental_unit_rejects_bad_d():
     for bad in (1, 4, 12, -3):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from orbinv import (
     normalizer_index_check,
     preserves_form,
     reflect,
+    sign_at,
     so0_membership,
     spinor_norm,
     spinor_norm_of_matrix,
@@ -59,6 +60,22 @@ def test_admissibility_examples():
 def test_admissibility_accepts_global_sign_flip():
     assert admissibility_check(DiagonalForm(Q, (-1, 1, 1, 1)))
     assert not admissibility_check(DiagonalForm(Q, (1, 1, -1, -1)))
+
+
+def test_evaluate_coerces_its_vector_once(monkeypatch):
+    calls = []
+    coerce_vector = DiagonalForm.coerce_vector
+
+    def counting(form, v):
+        calls.append(v)
+        return coerce_vector(form, v)
+
+    monkeypatch.setattr(DiagonalForm, "coerce_vector", counting)
+    assert LORENTZ3.evaluate((3, 1, 2)) == 4
+    assert len(calls) == 1
+    assert LORENTZ3.basis_vector(1) == (0, 1, 0) and LORENTZ3.basis_vector(-1) == (0, 0, 1)
+    with pytest.raises(IndexError):
+        LORENTZ3.basis_vector(3)
 
 
 def test_form_validation():
@@ -418,6 +435,45 @@ def test_so0_with_flipped_signature():
     w = Isometry(form, diag_matrix(form, (-1, -1, 1, 1, 1)))
     assert not so0_membership(w)
     assert so0_membership(Isometry.identity(form))
+
+
+def _signed_coefficients(field, id_sign, other_sign):
+    # small elements with the given sign at the Id place and, over Q(sqrt 5),
+    # at the other place
+    if field.is_rationals:
+        return [id_sign * m for m in (1, 2, 3, 5)]
+    pool = [field.coerce(a) + field.sqrt_gen() * b for a in range(-3, 4) for b in range(-2, 3)]
+    return [x for x in pool if x and sign_at(x, field.id_place) == id_sign
+            and all(sign_at(x, v) == other_sign for v in field.non_id_places())]
+
+
+def test_so0_agrees_with_the_sign_of_the_spinor_norm():
+    # an independent rule for det 1: g is a product of an even number of
+    # reflections, and those in vectors of the form's minority sign at Id swap
+    # the two cone components; with an even count, the number of negative f(v)
+    # has the parity of that number, so g is in SO_0 exactly when theta(g) > 0
+    # at the Id place
+    rng = random.Random(SEED + 5)
+    seen = set()
+    for field in (Q, K5, quad_field(5, id_place=1)):
+        for global_sign in (1, -1):
+            for dim in (3, 4):
+                for axis in range(dim):
+                    other_sign = rng.choice((1, -1))
+                    coefficients = [
+                        rng.choice(_signed_coefficients(
+                            field, global_sign if i == axis else -global_sign, other_sign))
+                        for i in range(dim)
+                    ]
+                    form = DiagonalForm(field, tuple(coefficients))
+                    assert admissibility_check(form)
+                    for _ in range(2):
+                        g = random_isometry(rng, form)
+                        theta = spinor_norm(g).representative
+                        in_so0 = so0_membership(g)
+                        assert in_so0 == (sign_at(theta, field.id_place) == 1), (form, g.matrix)
+                        seen.add(in_so0)
+    assert seen == {True, False}
 
 
 # --- lattice stabilization and the normalizer report ---
