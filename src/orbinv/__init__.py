@@ -6,7 +6,6 @@ index checks, and the super-exponential Euler characteristic bound."""
 from .exact_arith import (
     InternalConsistencyError,
     QuadFieldElem,
-    Rational,
     SquareClass,
     TotallyRealField,
     format_element,

@@ -55,13 +55,21 @@ class CommandError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as "-1,1,1" or "-1/2+1/2*sqrt(5)" is a value, not a flag
+        self._negative_number_matcher = re.compile(r"-\d")
+
     # argparse would print usage and exit; surface a machine-readable error instead
     def error(self, message):
         raise CommandError("invalid-arguments", message)
 
 
-class _FloatToken(str):
+class _FloatToken:
     """A pre-rendered JSON number token, emitted without quotes."""
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def _float_token(value: mpmath.mpf, precision_bits: int) -> _FloatToken:
@@ -75,19 +83,13 @@ def _float_token(value: mpmath.mpf, precision_bits: int) -> _FloatToken:
 def _dumps(doc) -> str:
     tokens: list[str] = []
 
-    def strip(obj):
-        if isinstance(obj, _FloatToken):
-            tokens.append(str(obj))
-            return f"@@RAWFLOAT{len(tokens) - 1}@@"
-        if isinstance(obj, dict):
-            return {k: strip(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [strip(v) for v in obj]
-        return obj
+    def placeholder(token: _FloatToken) -> str:
+        tokens.append(token.text)
+        return f"@@RAWFLOAT{len(tokens) - 1}@@"
 
     # a match is a whole JSON string, since a quote inside one follows a
     # backslash; a document without floats, maybe megabytes, is not scanned
-    text = json.dumps(strip(doc), indent=2)
+    text = json.dumps(doc, indent=2, default=placeholder)
     return _PLACEHOLDER_RE.sub(lambda m: tokens[int(m[1])], text) if tokens else text
 
 

@@ -20,10 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QuadFieldElem",
     "TotallyRealField",
     "SquareClass",
@@ -238,10 +235,6 @@ class QuadFieldElem:
     def trace(self) -> Fraction:
         return Fraction(2 * self._a, self._den)
 
-    @property
-    def is_rational(self) -> bool:
-        return self._b == 0
-
     def __str__(self):
         return format_element(self)
 
@@ -325,7 +318,7 @@ class TotallyRealField:
         """Parse "Q" or "Q(sqrt D)"."""
         text = label.strip()
         if text == "Q":
-            return cls.rationals()
+            return cls(None, id_place)
         m = _FIELD_LABEL_RE.fullmatch(text)
         if m:
             return cls.real_quadratic(int(m.group(1)), id_place)

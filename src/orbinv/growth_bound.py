@@ -59,16 +59,6 @@ def euler_char_bound(r: int, degree: int, precision_bits: int = 128) -> GrowthBo
     return GrowthBoundValue(r, degree, numerator, pi_power, value, precision_bits)
 
 
-def _factorial_exceeds_two_pi_power(n: int, k: int, precision_bits: int) -> bool:
-    # exact-side integer n! against the transcendental (2*pi)**k; decided in
-    # logs with a margin check so an undecidable comparison cannot pass silently
-    with mpmath.workprec(max(precision_bits, 192)):
-        diff = mpmath.log(mpmath.mpf(factorial(n))) - k * mpmath.log(2 * mpmath.pi)
-        if abs(diff) < mpmath.mpf(2) ** -64:
-            raise ValueError("comparison too close to decide at this precision")
-        return diff > 0
-
-
 @dataclass(frozen=True)
 class GrowthCertificate:
     """Tabulated bound values for degree 1 with the exact ratio law and the
@@ -103,33 +93,24 @@ def superexponential_certificate(r_max: int, precision_bits: int = 128) -> Growt
         for r in range(1, r_max)
     )
 
-    # B(r+1) > B(r)  iff  (2r+1)! > (2*pi)^(2r+2)
-    value_up = {
-        r: _factorial_exceeds_two_pi_power(2 * r + 1, 2 * r + 2, precision_bits)
-        for r in range(1, r_max)
-    }
-    # B(r+1)/(2r+1)! > B(r)/(2r-1)!  iff  (2r-1)! > (2*pi)^(2r+2)
-    ratio_up = {
-        r: _factorial_exceeds_two_pi_power(2 * r - 1, 2 * r + 2, precision_bits)
-        for r in range(1, r_max)
-    }
+    # q_r = B(r+1)/B(r) = (2r+1)!/(2*pi)^(2r+2), read off the table: B
+    # increases at r iff q_r > 1, and B(r)/(2r-1)! iff q_r > (2r+1)!/(2r-1)!.
+    # Each tabulated value is within a relative 2^-p of B(r), p = precision_bits,
+    # so their quotient, taken with 32 guard bits, is within a relative 2^(2-p)
+    # of q_r; outside the margin bound * 2^(8-p) it lies on the side of q_r.
+    value_up, ratio_up = [], []
+    with mpmath.workprec(precision_bits + 32):
+        margin = mpmath.mpf(2) ** (8 - precision_bits)
+        for r in range(1, r_max):
+            q = values[r].float_value / values[r - 1].float_value
+            for flags, bound in ((value_up, 1), (ratio_up, 2 * r * (2 * r + 1))):
+                if abs(q - bound) < bound * margin:
+                    raise ValueError("comparison too close to decide at this precision")
+                flags.append(q > bound)
 
-    def first_true(flags: dict[int, bool]) -> int | None:
-        for r in sorted(flags):
-            if flags[r]:
-                return r
-        return None
-
-    def monotone_from(flags: dict[int, bool], r0: int | None) -> bool:
-        if r0 is None:
-            return False
-        return all(flags[r] for r in range(r0, r_max))
-
-    value_threshold = first_true(value_up)
-    ratio_threshold = first_true(ratio_up)
-    monotone = monotone_from(value_up, value_threshold) and monotone_from(
-        ratio_up, ratio_threshold
-    )
+    value_threshold = next((r for r, up in enumerate(value_up, 1) if up), None)
+    ratio_threshold = next((r for r, up in enumerate(ratio_up, 1) if up), None)
+    reached = value_threshold is not None and ratio_threshold is not None
     return GrowthCertificate(
         r_max=r_max,
         precision_bits=precision_bits,
@@ -137,6 +118,8 @@ def superexponential_certificate(r_max: int, precision_bits: int = 128) -> Growt
         ratio_identity_verified=ratio_ok,
         value_increase_threshold=value_threshold,
         factorial_ratio_threshold=ratio_threshold,
-        monotone_from_threshold=monotone,
-        threshold_reached=value_threshold is not None and ratio_threshold is not None,
+        monotone_from_threshold=reached
+        and all(value_up[value_threshold - 1:])
+        and all(ratio_up[ratio_threshold - 1:]),
+        threshold_reached=reached,
     )

@@ -91,11 +91,6 @@ class DiagonalForm:
         v = self.coerce_vector(v)
         return sum((c * x * x for c, x in zip(self.coefficients, v)), self.field.zero())
 
-    def bilinear(self, u, v):
-        """Polar form B(u, v) = sum a_i u_i v_i, with B(v, v) = f(v)."""
-        u, v = self.coerce_vector(u), self.coerce_vector(v)
-        return sum((c * x * y for c, x, y in zip(self.coefficients, u, v)), self.field.zero())
-
     def basis_vector(self, i: int) -> tuple:
         v = [self.field.zero()] * self.dim
         v[i] = self.field.one()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -70,6 +71,30 @@ def test_field_invariants_id_place_flag(capsys):
     code, _, err = run(capsys, "field-invariants", "--field", "Q(sqrt 5)", "--id-place", "x")
     assert code == 2
     assert json.loads(err)["error"] == "invalid-arguments"
+    # Q has the one place 0
+    code, out, err = run(capsys, "field-invariants", "--field", "Q", "--id-place", "7")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid-field",
+                               "detail": "id_place 7 out of range for degree 1"}
+    assert run_json(capsys, "field-invariants", "--field", "Q", "--id-place", "0") == run_json(
+        capsys, "field-invariants", "--field", "Q")
+
+
+def test_a_value_with_a_leading_minus_follows_its_flag(capsys):
+    stretch = '[["1","0","0"],["0","1","0"],["0","0","2"]]'  # not an isometry
+    requests = [
+        ("Q", "-1,1,1", WITNESS_MATRIX),
+        ("Q", "-1,1,1", BLOCK_MATRIX),
+        ("Q", "-1,1,1", stretch),
+        ("Q(sqrt 5)", "-1/2+1/2*sqrt(5),1,1", WITNESS_MATRIX),
+    ]
+    for subcommand in ("spinor-norm", "decompose"):
+        for field, form, matrix in requests:
+            flags = ("--field", field, "--matrix", matrix)
+            joined = run(capsys, subcommand, *flags, f"--form={form}")
+            separate = run(capsys, subcommand, *flags, "--form", form)
+            assert separate == joined, (subcommand, form, matrix)
+            assert joined[0] == (2 if matrix == stretch else 0), joined
 
 
 def test_spinor_norm_subcommand(capsys):
@@ -542,8 +567,11 @@ def _argvs(draw):
         argv += ["--dmax", draw(_either_side((-3, 50), (10**4 + 1, 10**30)))]
     elif command in ("spinor-norm", "decompose"):
         field = draw(st.one_of(st.sampled_from(["Q", "Q(sqrt 5)"]), _FIELD_LABELS))
-        # "=" keeps a value with a leading minus from reading as a flag
-        argv += ["--field", field, f"--form={draw(_FORMS)}", f"--matrix={draw(_MATRICES)}"]
+        form, matrix = draw(_FORMS), draw(_MATRICES)
+        if draw(st.booleans()):
+            argv += ["--field", field, f"--form={form}", f"--matrix={matrix}"]
+        else:
+            argv += ["--field", field, "--form", form, "--matrix", matrix]
     elif command == "check-normalizer":
         field = draw(st.one_of(st.sampled_from(["Q", "Q(sqrt 5)"]), _FIELD_LABELS))
         argv += ["--field", field, "--n", draw(_either_side((-2, 16), (513, 10**30)))]
@@ -585,3 +613,22 @@ def test_wire_encoding_round_trips(d, p, q, r, s):
     if d is not None:
         x = x + field.sqrt_gen() * Fraction(r, s)
     assert parse_element(format_element(x), field) == x
+
+
+# --- every committed benchmark digest, replayed ---
+
+
+def test_committed_cli_digests_replay():
+    requests = json.loads((Path(__file__).parents[1] / "bench" / "cli_requests.json")
+                          .read_text(encoding="utf-8"))["strata"]
+    replayed = 0
+    for stratum, entries in requests.items():
+        for request in entries:
+            if request["sha256"] is None:
+                continue
+            code, out, err = _run_in_process(request["argv"])
+            assert (code, err) == (0, ""), request["argv"]
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == request["sha256"], (
+                stratum, request["argv"])
+            replayed += 1
+    assert replayed >= 95

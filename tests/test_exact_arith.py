@@ -291,6 +291,12 @@ def test_field_labels():
         TotallyRealField.from_label("Q(sqrt -1)")
     with pytest.raises(ValueError):
         TotallyRealField.from_label("F_7")
+    # an id_place over Q is checked by the field, not dropped
+    assert TotallyRealField.from_label("Q", 0) == Q
+    for id_place in (1, 7, -1):
+        with pytest.raises(ValueError, match=f"id_place {id_place} out of range for degree 1"):
+            TotallyRealField.from_label("Q", id_place)
+    assert TotallyRealField.from_label("Q(sqrt 5)", 1).id_place == 1
 
 
 def test_coerce_and_places():

@@ -1,9 +1,13 @@
+import dataclasses
+import json
 from math import factorial
 
 import mpmath
 import pytest
 
 from orbinv import GrowthBoundValue, euler_char_bound, superexponential_certificate
+from orbinv import growth_bound as gb
+from orbinv.cli import main
 
 
 def reference_value(numerator: int, pi_power: int, prec: int = 512) -> mpmath.mpf:
@@ -88,12 +92,58 @@ def test_certificate_threshold_not_reached():
     assert cert.ratio_identity_verified
 
 
-def test_certificate_matches_direct_comparison():
-    cert = superexponential_certificate(14)
-    # independent check of the increase flags by 60-digit evaluation
+def _direct_flags(r_max: int):
+    # independent of the certificate's table: 60-digit evaluations of (2r+1)!
+    # and (2r-1)! against (2 pi)^(2r+2), i.e. B(r+1) > B(r) and
+    # B(r+1)/(2r+1)! > B(r)/(2r-1)!
     with mpmath.workdps(60):
         two_pi = 2 * mpmath.pi
-        for r in range(1, 14):
-            expected = mpmath.mpf(factorial(2 * r + 1)) > two_pi ** (2 * r + 2)
-            got = cert.value_increase_threshold is not None and r >= cert.value_increase_threshold
-            assert got == expected, r
+        value_up = [mpmath.mpf(factorial(2 * r + 1)) > two_pi ** (2 * r + 2) for r in range(1, r_max)]
+        ratio_up = [mpmath.mpf(factorial(2 * r - 1)) > two_pi ** (2 * r + 2) for r in range(1, r_max)]
+    return value_up, ratio_up
+
+
+def test_certificate_matches_direct_comparison():
+    for r_max in (14, 55):
+        value_up, ratio_up = _direct_flags(r_max)
+        for precision_bits in (64, 128, 10000):
+            cert = superexponential_certificate(r_max, precision_bits)
+            for r in range(1, r_max):
+                assert value_up[r - 1] == (cert.value_increase_threshold is not None
+                                           and r >= cert.value_increase_threshold), r
+                assert ratio_up[r - 1] == (cert.factorial_ratio_threshold is not None
+                                           and r >= cert.factorial_ratio_threshold), r
+            assert cert.monotone_from_threshold and cert.threshold_reached
+
+
+def _land_quotient(monkeypatch, r, bound, offset):
+    # tabulate B(r+1) as B(r) * bound * (1 + offset), so that q_r sits at that
+    # relative distance from its bound
+    def patched(k, degree, precision_bits=128):
+        value = euler_char_bound(k, degree, precision_bits)
+        if k == r + 1:
+            with mpmath.workprec(2 * precision_bits):
+                below = euler_char_bound(r, degree, precision_bits).float_value
+                landed = below * bound * (1 + offset)
+            value = dataclasses.replace(value, float_value=landed)
+        return value
+
+    monkeypatch.setattr(gb, "euler_char_bound", patched)
+
+
+@pytest.mark.parametrize("r, bound", [(8, 1), (10, 420)])  # one bound of each family
+def test_certificate_refuses_a_quotient_within_its_margin(monkeypatch, capsys, r, bound):
+    precision_bits = 128
+    for exponent in (None, 7 - precision_bits, -7 - precision_bits):
+        offset = 0 if exponent is None else mpmath.mpf(2) ** exponent
+        _land_quotient(monkeypatch, r, bound, offset)
+        with pytest.raises(ValueError, match="comparison too close to decide"):
+            superexponential_certificate(12, precision_bits)
+        code = main(["growth-bound", "--certify", "12", "--precision", str(precision_bits)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "validation",
+                                   "detail": "comparison too close to decide at this precision"}
+    # just outside the margin bound * 2^(8-p) the comparison is decided
+    _land_quotient(monkeypatch, r, bound, mpmath.mpf(2) ** (9 - precision_bits))
+    assert superexponential_certificate(12, precision_bits).threshold_reached
